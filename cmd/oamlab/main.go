@@ -1,7 +1,7 @@
 // Command oamlab regenerates every table and figure of the paper's
 // evaluation (section 4) on the simulated machine:
 //
-//	oamlab [-quick] [-maxp N] [-csv] [-par N] [-shards N] [-optimistic] [-cores K] [-cpuprofile F] [-memprofile F] <experiment>...
+//	oamlab [-quick] [-maxp N] [-csv] [-par N] [-shards N] [-cores K] [-cpuprofile F] [-memprofile F] <experiment>...
 //
 // Run `oamlab -help` for the experiment list; it is generated from the
 // same command table that drives dispatch, so it cannot go stale.
@@ -42,20 +42,18 @@
 //
 // -shards runs every simulation engine sharded: each run's nodes are
 // partitioned across N shards (-1 = one per CPU) that execute in
-// parallel over lockstep virtual-time windows. -optimistic switches the
-// sharded engines to speculative commit spans: shards run past the
-// window edge and a GVT-style resolve commits whole spans, replacing the
-// lockstep barrier. Results are bit-identical
-// to the sequential kernel at any value of either flag; the harness automatically
-// shrinks -par so cells x shards never exceeds GOMAXPROCS. The observed
+// parallel over optimistic commit spans — shards run ahead of each other
+// up to a proven-safe horizon and a GVT-style resolve commits whole
+// spans. Results are bit-identical to the sequential kernel at any
+// value; the harness automatically shrinks -par so cells x shards never
+// exceeds GOMAXPROCS. The observed
 // trace/metrics subcommands always run sequentially (their probes need
 // the single-threaded kernel).
 //
 // -cores gives every simulated node K cores: services that declare a
 // compatibility matrix (kv) dispatch compatible handlers concurrently in
 // virtual time (multiactive OAM). Simulated cores cost no host CPUs.
-// Results are bit-identical across -shards and -optimistic for a fixed
-// -cores value.
+// Results are bit-identical across -shards for a fixed -cores value.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments, for finding host-side hot spots in the simulation kernel.
@@ -230,7 +228,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	svgdir := fs.String("svgdir", "", "also render figures as SVG into this directory")
 	par := fs.Int("par", 0, "concurrent experiment cells (0 = all CPUs, 1 = sequential)")
 	shards := fs.Int("shards", 1, "engine shards per run (1 = sequential kernel, -1 = one per CPU)")
-	optimistic := fs.Bool("optimistic", false, "sharded engines speculate past window edges (commit spans instead of lockstep windows)")
 	cores := fs.Int("cores", 1, "simulated cores per node (>1 enables multiactive dispatch where a compatibility matrix is declared)")
 	benchout := fs.String("benchout", "BENCH_kernel.json", "bench: where to write the JSON report")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -281,7 +278,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *shards != 1 && *shards != 0 {
 		exp.Shards = *shards
 	}
-	exp.Optimistic = *optimistic
 	if *cores > 1 {
 		exp.Cores = *cores
 	}

@@ -32,16 +32,9 @@ func ResolveShards(shards, nodes int) int {
 }
 
 // Engine builds the simulation engine for an n-node run at the requested
-// shard count (see ResolveShards). optimistic selects the speculative
-// span scheduler instead of lockstep windows when the resolved shard
-// count is parallel; results are bit-identical either way.
-func Engine(seed int64, shards, nodes int, optimistic bool) *sim.Engine {
-	s := ResolveShards(shards, nodes)
-	mode := sim.Conservative
-	if optimistic {
-		mode = sim.Optimistic
-	}
-	return sim.NewShardedConfig(seed, sim.ShardConfig{Shards: s, Mode: mode})
+// shard count (see ResolveShards).
+func Engine(seed int64, shards, nodes int) *sim.Engine {
+	return sim.NewSharded(seed, ResolveShards(shards, nodes))
 }
 
 // System selects the communication system of a run, matching the three

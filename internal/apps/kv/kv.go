@@ -124,10 +124,9 @@ type Config struct {
 	Clients int // load generators, nodes Servers.. (default 64)
 	Keys    int // key-space size (default 128)
 	Seed    int64
-	// Shards / Optimistic select the engine configuration; results are
-	// bit-identical at any value (see apps.Engine).
-	Shards     int
-	Optimistic bool
+	// Shards selects the engine shard count; results are bit-identical
+	// at any value (see apps.Engine).
+	Shards int
 	// System selects the communication system under test; Strategy and
 	// HandlerBudget configure the optimistic dispatcher for ORPC.
 	System        apps.System
@@ -452,11 +451,11 @@ func (r *kvRun) leave(e *oam.Env, s *serverState) {
 func Run(cfg Config) (apps.Result, Stats, error) {
 	cfg = cfg.withDefaults()
 	nodes := cfg.Servers + cfg.Clients
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes)
 	defer eng.Shutdown()
 	// Unreachable NIC cap: the service's admission budget is this
 	// system's only backpressure. The machine's network-full refusal
-	// reserves against a window-boundary occupancy snapshot when
+	// reserves against a span-boundary occupancy snapshot when
 	// sharded, so any run where a queue touches the cap makes send
 	// admission snapshot-dependent — approximately, not bit-exactly,
 	// deterministic. A saturated server's queue grows past any

@@ -84,8 +84,8 @@ func TestDedupUnderFaults(t *testing.T) {
 
 // TestShardedEquivalence is the acceptance gate: the full results —
 // store answer, per-server lease records, fault trace, and every client
-// ledger — are bit-identical at shard counts 1, 2, and 4, under both
-// engine modes, on a faulty network with skewed bursty load.
+// ledger — are bit-identical at shard counts 1, 2, and 4, on a faulty
+// network with skewed bursty load.
 func TestShardedEquivalence(t *testing.T) {
 	base := kv.Config{
 		System:   apps.ORPC,
@@ -102,36 +102,34 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 	var want *fingerprint
 	for _, shards := range []int{1, 2, 4} {
-		for _, optimistic := range []bool{false, true} {
-			cfg := base
-			cfg.Shards, cfg.Optimistic = shards, optimistic
-			res, st, err := kv.Run(cfg)
-			if err != nil {
-				t.Fatalf("shards=%d optimistic=%v: %v", shards, optimistic, err)
+		cfg := base
+		cfg.Shards = shards
+		res, st, err := kv.Run(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if err := kv.CheckInvariants(&st); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
+		if want == nil {
+			want = got
+			continue
+		}
+		if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
+			t.Fatalf("shards=%d diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
+				shards, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
+		}
+		for i := range want.st.PerClient {
+			if got.st.PerClient[i] != want.st.PerClient[i] {
+				t.Fatalf("shards=%d: client %d ledger diverged: %+v vs %+v",
+					shards, i, got.st.PerClient[i], want.st.PerClient[i])
 			}
-			if err := kv.CheckInvariants(&st); err != nil {
-				t.Fatalf("shards=%d optimistic=%v: %v", shards, optimistic, err)
-			}
-			got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
-			if want == nil {
-				want = got
-				continue
-			}
-			if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
-				t.Fatalf("shards=%d optimistic=%v diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
-					shards, optimistic, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
-			}
-			for i := range want.st.PerClient {
-				if got.st.PerClient[i] != want.st.PerClient[i] {
-					t.Fatalf("shards=%d optimistic=%v: client %d ledger diverged: %+v vs %+v",
-						shards, optimistic, i, got.st.PerClient[i], want.st.PerClient[i])
-				}
-			}
-			for i := range want.st.PerServer {
-				if got.st.PerServer[i] != want.st.PerServer[i] {
-					t.Fatalf("shards=%d optimistic=%v: server %d ledger diverged: %+v vs %+v",
-						shards, optimistic, i, got.st.PerServer[i], want.st.PerServer[i])
-				}
+		}
+		for i := range want.st.PerServer {
+			if got.st.PerServer[i] != want.st.PerServer[i] {
+				t.Fatalf("shards=%d: server %d ledger diverged: %+v vs %+v",
+					shards, i, got.st.PerServer[i], want.st.PerServer[i])
 			}
 		}
 	}

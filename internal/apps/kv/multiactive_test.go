@@ -44,8 +44,8 @@ func TestMultiactiveRun(t *testing.T) {
 }
 
 // TestMultiactiveShardedEquivalence: the cores 2/4 equivalence golden —
-// multiactive results are bit-identical across shard counts and engine
-// modes, exactly like the single-active gate above.
+// multiactive results are bit-identical across shard counts, exactly like
+// the single-active gate above.
 func TestMultiactiveShardedEquivalence(t *testing.T) {
 	base := kv.Config{
 		System:   apps.ORPC,
@@ -63,37 +63,35 @@ func TestMultiactiveShardedEquivalence(t *testing.T) {
 	for _, cores := range []int{2, 4} {
 		var want *fingerprint
 		for _, shards := range []int{1, 2, 4} {
-			for _, optimistic := range []bool{false, true} {
-				cfg := base
-				cfg.Cores = cores
-				cfg.Shards, cfg.Optimistic = shards, optimistic
-				res, st, err := kv.Run(cfg)
-				if err != nil {
-					t.Fatalf("cores=%d shards=%d optimistic=%v: %v", cores, shards, optimistic, err)
+			cfg := base
+			cfg.Cores = cores
+			cfg.Shards = shards
+			res, st, err := kv.Run(cfg)
+			if err != nil {
+				t.Fatalf("cores=%d shards=%d: %v", cores, shards, err)
+			}
+			if err := kv.CheckInvariants(&st); err != nil {
+				t.Fatalf("cores=%d shards=%d: %v", cores, shards, err)
+			}
+			got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
+				t.Fatalf("cores=%d shards=%d diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
+					cores, shards, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
+			}
+			for i := range want.st.PerClient {
+				if got.st.PerClient[i] != want.st.PerClient[i] {
+					t.Fatalf("cores=%d shards=%d: client %d ledger diverged: %+v vs %+v",
+						cores, shards, i, got.st.PerClient[i], want.st.PerClient[i])
 				}
-				if err := kv.CheckInvariants(&st); err != nil {
-					t.Fatalf("cores=%d shards=%d optimistic=%v: %v", cores, shards, optimistic, err)
-				}
-				got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
-				if want == nil {
-					want = got
-					continue
-				}
-				if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
-					t.Fatalf("cores=%d shards=%d optimistic=%v diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
-						cores, shards, optimistic, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
-				}
-				for i := range want.st.PerClient {
-					if got.st.PerClient[i] != want.st.PerClient[i] {
-						t.Fatalf("cores=%d shards=%d optimistic=%v: client %d ledger diverged: %+v vs %+v",
-							cores, shards, optimistic, i, got.st.PerClient[i], want.st.PerClient[i])
-					}
-				}
-				for i := range want.st.PerServer {
-					if got.st.PerServer[i] != want.st.PerServer[i] {
-						t.Fatalf("cores=%d shards=%d optimistic=%v: server %d ledger diverged: %+v vs %+v",
-							cores, shards, optimistic, i, got.st.PerServer[i], want.st.PerServer[i])
-					}
+			}
+			for i := range want.st.PerServer {
+				if got.st.PerServer[i] != want.st.PerServer[i] {
+					t.Fatalf("cores=%d shards=%d: server %d ledger diverged: %+v vs %+v",
+						cores, shards, i, got.st.PerServer[i], want.st.PerServer[i])
 				}
 			}
 		}

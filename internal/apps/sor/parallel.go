@@ -78,7 +78,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 	if nodes > cfg.Rows-2 {
 		return apps.Result{}, fmt.Errorf("sor: %d nodes for %d interior rows", nodes, cfg.Rows-2)
 	}
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 

@@ -36,10 +36,6 @@ type Config struct {
 	// negative auto (one per CPU), clamped to the node count. Results are
 	// bit-identical at any value; only wall-clock time changes.
 	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
@@ -121,7 +117,7 @@ func owner(s State, n int) int {
 // must equal SolveSeq's for the same board.
 func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 	b := cfg.board()
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)

@@ -21,12 +21,8 @@ type ChaosConfig struct {
 	// Shards selects the engine's shard count: 0 or 1 sequential,
 	// negative auto (one per CPU), clamped to the node count. Results are
 	// bit-identical at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
-	Strategy   oam.Strategy
+	Shards   int
+	Strategy oam.Strategy
 	// Cores gives each simulated node this many cores (default 1);
 	// values > 1 route sync dispatches through the multiactive path.
 	Cores int
@@ -110,7 +106,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 	cfg = cfg.withDefaults()
 	p := NewProblem(cfg.Cities, cfg.Seed)
 	nodes := slaves + 1
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)

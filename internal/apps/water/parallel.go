@@ -94,7 +94,7 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 	if nodes > cfg.Mols {
 		return apps.Result{}, fmt.Errorf("water: more nodes than molecules")
 	}
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 

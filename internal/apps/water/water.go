@@ -45,10 +45,6 @@ type Config struct {
 	// negative auto (one per CPU), clamped to the node count. Results are
 	// bit-identical at any value; only wall-clock time changes.
 	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
 	// Cores gives each simulated node this many cores (default 1).
 	// Values > 1 route sync ORPC dispatches through the multiactive path
 	// (oam.Options.Cores); Water declares no compatibility matrix, so

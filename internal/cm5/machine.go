@@ -13,8 +13,9 @@ import (
 // involved — with a sequential engine that is the familiar
 // "single-threaded like the kernel" rule; with a sharded engine the
 // machine partitions its nodes across the engine's shards (contiguous
-// blocks) and registers itself as the engine's window hook so
-// cross-shard traffic merges deterministically at window barriers.
+// blocks) and registers itself as the engine's window hook, so
+// cross-shard flights land deterministically on their destination shard
+// and NIC snapshots refresh at span barriers.
 type Machine struct {
 	eng   *sim.Engine
 	cost  CostModel
@@ -24,21 +25,16 @@ type Machine struct {
 	probe Probe       // nil = no observer (the default, allocation-free)
 
 	// shards holds the per-engine-shard slice of machine state (stats,
-	// pools, window buffers). Exactly one entry on a sequential engine.
+	// pools, cross-shard reservations). Exactly one entry on a sequential
+	// engine.
 	shards []machineShard
 	// snap is the barrier-time NIC occupancy (queued + reserved) of every
-	// node; senders on other shards read it, plus their own in-window
+	// node; senders on other shards read it, plus their own in-span
 	// reservations, as the "network full" signal. Sharded engines only.
 	snap []int32
 
-	// optimistic reports that the engine runs its shards speculatively:
-	// cross-shard flights are published eagerly (Shard.Inject) instead of
-	// buffered to the window barrier, and collective operations apply
-	// immediately under ctlmu instead of riding the ctlOps buffer.
-	optimistic bool
-	// ctlmu serializes mid-span collective mutations (optimistic mode
-	// only; conservative mode applies them on the single-threaded
-	// coordinator).
+	// ctlmu serializes collective-round mutations, which shards apply
+	// mid-span.
 	ctlmu sync.Mutex
 }
 
@@ -55,7 +51,7 @@ type NetStats struct {
 // deliveries, and backpressure. Probes are pure observers — they must not
 // schedule events or charge virtual time. All hooks run only when a probe
 // is installed, so the disabled path stays allocation-free. Probes see
-// mid-window state from multiple goroutines under a sharded engine, so
+// mid-span state from multiple goroutines under a sharded engine, so
 // they are only supported with one shard (sim.Engine.SetProbe enforces
 // the same rule for its own probes).
 type Probe interface {
@@ -104,7 +100,6 @@ func NewMachine(eng *sim.Engine, n int, cost CostModel) *Machine {
 	m.nodes = make([]*Node, n)
 	if s > 1 {
 		m.snap = make([]int32, n)
-		m.optimistic = eng.Mode() == sim.Optimistic
 		eng.SetWindowHook(m)
 	}
 	m.ctl = newControlNetwork(m)
@@ -160,9 +155,6 @@ func (m *Machine) Node(i int) *Node {
 	}
 	return m.materialize(i)
 }
-
-// sharded reports whether the machine spans more than one engine shard.
-func (m *Machine) sharded() bool { return len(m.shards) > 1 }
 
 // Stats returns the machine's traffic counters, summed across shards
 // (high-water marks are max-merged).
@@ -371,10 +363,11 @@ func (n *Node) NetworkFull(dst int) bool {
 // destination on the sender's own shard it reads the NIC exactly, as
 // always. For a cross-shard destination it conservatively combines the
 // barrier-time occupancy snapshot with the reservations this shard has
-// made toward dst during the current window; it cannot see same-window
-// pops or other shards' reservations, which is the one place sharded
-// execution is approximate — workloads that saturate a NIC within a
-// single lookahead window should run with one shard. Every NIC has
+// made toward dst during the current commit span; it cannot see
+// same-span pops or other shards' reservations, which is the one place
+// sharded execution is approximate — the approximation is bounded by a
+// commit span (up to 32 lookaheads), so workloads that saturate a NIC
+// within one span should run with one shard. Every NIC has
 // capacity cost.NICQueueCap, so the remote check needs no remote state.
 func (n *Node) dstFull(dst int) bool {
 	if n.m.shardIndex(dst) == n.sh.Index() {
@@ -388,8 +381,8 @@ func (n *Node) dstFull(dst int) bool {
 
 // reserveToward claims a NIC slot toward dst: directly for a same-shard
 // destination (materializing it — a packet is headed there), or in the
-// window buffer for a cross-shard one (the barrier converts buffered
-// claims into real reservations on the destination shard).
+// shard's span-local count for a cross-shard one (the real reservation
+// is made on the destination shard when the flight arrives there).
 func (n *Node) reserveToward(dst int) {
 	if n.m.shardIndex(dst) == n.sh.Index() {
 		n.m.Node(dst).nic.reserve()
@@ -406,12 +399,10 @@ func (n *Node) nextFlightKey() uint64 {
 }
 
 // launch schedules one delivery copy arriving wire after the current
-// instant: inline on the shared shard; via the window outbox when the
-// destination lives on another shard (conservative mode); or published
-// eagerly into the destination shard's inbox (optimistic mode — the
-// arrival time is already final, so the flight can cross immediately).
-// The destination node itself is never touched here: it materializes on
-// its own shard when the delivery completes.
+// instant: inline on the shared shard, or published eagerly into the
+// destination shard's inbox (the arrival time is already final, so the
+// flight can cross immediately). The destination node itself is never
+// touched here: it materializes on its own shard when the flight arrives.
 func (n *Node) launch(dst int, pkt *Packet, wire sim.Duration) {
 	at := n.sh.Now().Add(wire)
 	key := n.nextFlightKey()
@@ -420,16 +411,13 @@ func (n *Node) launch(dst int, pkt *Packet, wire sim.Duration) {
 		n.sh.AtDelivery(at, key, n.m.newDelivery(n.ms, pkt))
 		return
 	}
-	if n.m.optimistic {
-		n.m.eng.Shard(si).Inject(at, key, pkt)
-		return
-	}
-	n.ms.outbox = append(n.ms.outbox, flight{at: at, key: key, pkt: pkt})
+	n.m.eng.Shard(si).Inject(at, key, pkt)
 }
 
-// Arrive implements sim.ArrivalHook: materialize one eagerly published
+// Arrive implements sim.WindowHook: materialize one eagerly published
 // cross-shard flight on its destination shard — claim the NIC slot the
-// sender reserved in its window buffer and schedule the delivery event.
+// sender counted in its span-local reservations and schedule the
+// delivery event.
 // Runs on the destination shard's goroutine, so the NIC, the delivery
 // pool, and the heap are all shard-local here.
 func (m *Machine) Arrive(sh *sim.Shard, at sim.Time, key uint64, payload any) {

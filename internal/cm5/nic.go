@@ -43,12 +43,12 @@ func (n *nic) reserve() {
 	n.reserved++
 }
 
-// forceReserve claims a slot without the capacity check. Used by the
-// window barrier for cross-shard flights, whose admission was decided at
-// injection time against the sender's snapshot view: near saturation that
-// view can admit slightly more than cap, so the ring grows instead of
-// panicking (occupancy above cap is transient and bounded by one window's
-// cross-shard traffic).
+// forceReserve claims a slot without the capacity check. Used when a
+// cross-shard flight arrives on its destination shard: its admission was
+// decided at injection time against the sender's snapshot view, which
+// near saturation can admit slightly more than cap, so the ring grows
+// instead of panicking (occupancy above cap is transient and bounded by
+// one commit span's cross-shard traffic).
 func (n *nic) forceReserve() { n.reserved++ }
 
 // deliver converts a reservation into a queued packet, growing the ring

@@ -5,15 +5,16 @@ import (
 )
 
 // machineShard is the slice of machine state owned by one engine shard.
-// During a parallel window a shard touches only its own machineShard (and
-// the NICs of its own nodes); everything cross-shard is buffered here and
-// merged at the window barrier by the coordinator. With one shard there
-// is exactly one of these and the buffers are never used.
+// During a commit span a shard touches only its own machineShard (and the
+// NICs of its own nodes); cross-shard flights cross through the
+// destination shard's inbox (sim.Shard.Inject), and the span-local
+// reservation counts here reset at the span barrier. With one shard there
+// is exactly one of these and the reservation table is never used.
 type machineShard struct {
 	stats NetStats
 
 	// Hot-path free lists (owner-shard only; the coordinator may also
-	// touch them between windows).
+	// touch them between spans).
 	freePkt   *Packet
 	freeDeliv *delivery
 
@@ -22,25 +23,14 @@ type machineShard struct {
 	// lists instead of all n node slots, keeping the barrier O(active).
 	live []*Node
 
-	// outbox buffers cross-shard packet flights injected during the
-	// current window; the barrier schedules them onto the destination
-	// shards in canonical (arrival time, flight key) order — which the
-	// destination heap's comparator provides, so appending order here is
-	// irrelevant.
-	outbox []flight
-
 	// resv counts, per destination node, the NIC slots this shard has
-	// claimed during the current window for cross-shard flights. Added to
+	// claimed during the current span for cross-shard flights. Added to
 	// the barrier-time occupancy snapshot, it gives the sender's
 	// "network full" view without touching the remote NIC. Allocated on
 	// the first cross-shard send; resvTouched lists the destinations with
 	// nonzero counts so the barrier clears O(touched), not O(n).
 	resv        []int32
 	resvTouched []int32
-
-	// ctlOps buffers collective enters/waits/wait-consumptions performed
-	// during the current window; the barrier applies them.
-	ctlOps []ctlOp
 
 	// Fault accounting is sharded and merged lazily at read (see
 	// fault.go), so injection sites never contend.
@@ -49,7 +39,7 @@ type machineShard struct {
 	fevents  []FaultEvent
 }
 
-// reserveCross records a window-local NIC-slot claim toward cross-shard
+// reserveCross records a span-local NIC-slot claim toward cross-shard
 // destination dst (n is the machine's node count, sizing the table on
 // first use).
 func (ms *machineShard) reserveCross(n, dst int) {
@@ -62,7 +52,7 @@ func (ms *machineShard) reserveCross(n, dst int) {
 	ms.resv[dst]++
 }
 
-// resvFor reads this shard's window-local claims toward dst.
+// resvFor reads this shard's span-local claims toward dst.
 func (ms *machineShard) resvFor(dst int) int32 {
 	if ms.resv == nil {
 		return 0
@@ -70,21 +60,13 @@ func (ms *machineShard) resvFor(dst int) int32 {
 	return ms.resv[dst]
 }
 
-// flight is one buffered cross-shard packet delivery.
-type flight struct {
-	at  sim.Time
-	key uint64
-	pkt *Packet
-}
-
-// Lookahead implements sim.WindowHook: the width of the next safe
-// parallel window starting at now. No packet injected at or after now can
-// affect another shard sooner than WireLatency (every fault extra is
-// additive), so that is the base bound. The window is additionally
+// Lookahead implements sim.WindowHook: a lower bound on the latency of
+// any cross-shard flight sent at or after now. No packet injected at or
+// after now can affect another shard sooner than WireLatency (every fault
+// extra is additive), so that is the base bound. It is additionally
 // clipped at the next fault-plan boundary — a slow window or partition
-// edge — so a window never straddles a point where the plan's behavior
-// changes, and an active ExtraJitter/slow configuration can only shrink
-// the window, never widen it.
+// edge — so an active ExtraJitter/slow configuration can only shrink it,
+// never widen it.
 func (m *Machine) Lookahead(now sim.Time) sim.Duration {
 	la := m.cost.WireLatency
 	if f := m.fault; f != nil {
@@ -108,11 +90,11 @@ func (m *Machine) Lookahead(now sim.Time) sim.Duration {
 	return la
 }
 
-// NextBound implements sim.SpanHook: the earliest fault-plan boundary
+// NextBound implements sim.WindowHook: the earliest fault-plan boundary
 // strictly after now — a slow-window or partition edge — or now itself
-// when there is none. Optimistic commit spans are cut there so the
-// lookahead chosen at span start stays valid for the whole span and
-// plan-behavior changes coincide with commit points.
+// when there is none. Commit spans are cut there so the lookahead chosen
+// at span start stays valid for the whole span and plan-behavior changes
+// coincide with commit points.
 func (m *Machine) NextBound(now sim.Time) sim.Time {
 	bound := now
 	if f := m.fault; f != nil {
@@ -133,33 +115,16 @@ func (m *Machine) NextBound(now sim.Time) sim.Time {
 	return bound
 }
 
-// Barrier implements sim.WindowHook: merge everything the shards buffered
-// during the window. Runs on the coordinator goroutine with every shard
-// quiescent, so it may touch any state.
+// Barrier implements sim.WindowHook: reset the span-local reservation
+// counts and refresh the occupancy snapshot. Runs on the coordinator
+// goroutine with every shard quiescent, so it may touch any state.
 func (m *Machine) Barrier() {
 	for si := range m.shards {
 		ms := &m.shards[si]
-		for _, fl := range ms.outbox {
-			// The coordinator is the one non-owner context allowed to
-			// materialize a node: every shard is quiescent here.
-			dst := m.Node(fl.pkt.Dst)
-			dst.nic.forceReserve()
-			dst.sh.AtDelivery(fl.at, fl.key, m.newDelivery(dst.ms, fl.pkt))
-		}
-		ms.outbox = ms.outbox[:0]
 		for _, d := range ms.resvTouched {
 			ms.resv[d] = 0
 		}
 		ms.resvTouched = ms.resvTouched[:0]
-	}
-	for si := range m.shards {
-		ms := &m.shards[si]
-		ops := ms.ctlOps
-		for i := range ops {
-			ops[i].apply()
-			ops[i] = ctlOp{} // drop callback/packet references
-		}
-		ms.ctlOps = ms.ctlOps[:0]
 	}
 	// Refresh the occupancy snapshot over materialized nodes only: an
 	// unmaterialized node has an empty NIC and its snapshot entry has

@@ -40,19 +40,18 @@ type KernelBench struct {
 	AllocsPerEvent  float64 `json:"allocs_per_event"`
 }
 
-// ShardedBench reports the sharded-kernel pass: the same multi-node
+// OptimisticBench reports the sharded-kernel pass: the same multi-node
 // packet storm run once on the sequential kernel and once sharded, with
-// the engines' own window/barrier counters. The virtual results are
-// verified identical between the two passes before the speedup is
-// computed.
-type ShardedBench struct {
+// the engine's span/barrier counters and the speculation counters that
+// say whether optimism paid off. The virtual results are verified
+// identical between the two passes before the speedup is computed.
+type OptimisticBench struct {
 	Shards      int     `json:"shards"`
 	Nodes       int     `json:"nodes"`
 	Packets     uint64  `json:"packets"`
 	Events      uint64  `json:"events"`
 	WallNs      int64   `json:"wall_ns"`
 	NsPerEvent  float64 `json:"ns_per_event"`
-	Windows     uint64  `json:"windows"`
 	BarrierNs   int64   `json:"barrier_ns"`
 	BarrierFrac float64 `json:"barrier_frac"` // barrier time / total wall
 	SeqWallNs   int64   `json:"seq_wall_ns"`
@@ -65,36 +64,14 @@ type ShardedBench struct {
 	// Overhead decomposes the pass's host time (see WindowOverheadNs) so
 	// BarrierFrac cannot hide where a poor speedup actually went.
 	Overhead WindowOverheadNs `json:"window_overhead_ns"`
-}
-
-// WindowOverheadNs is the honest window-overhead breakdown of a sharded
-// pass: BarrierNs is coordinator time between windows (cross-shard merge,
-// collective application, trace flush); WindowWallNs is wall time inside
-// the parallel windows (handshake send to last shard done); ShardBusyNs
-// sums every shard's in-window kernel time, so WindowWallNs −
-// ShardBusyNs/Shards is the dispatch loss — handshake latency, straggler
-// imbalance, and runtime scheduling — that a bare barrier fraction hides.
-type WindowOverheadNs struct {
-	BarrierNs    int64 `json:"barrier_ns"`
-	WindowWallNs int64 `json:"window_wall_ns"`
-	ShardBusyNs  int64 `json:"shard_busy_ns"`
-	// DispatchLossNs is max(0, WindowWallNs − ShardBusyNs/Shards).
-	DispatchLossNs int64 `json:"dispatch_loss_ns"`
-}
-
-// OptimisticBench is the optimistic-kernel pass: the same ring storm run
-// with speculative commit spans instead of lockstep windows, verified
-// bit-identical to the sequential pass, plus the speculation counters
-// that say whether optimism paid off.
-type OptimisticBench struct {
-	ShardedBench
-	// Spans is the committed-span count (the optimistic "window" count).
+	// Spans is the committed-span count.
 	Spans uint64 `json:"spans"`
 	// Reopens counts retracted span-completion claims — the honest
 	// rollback counter (scheduling claims roll back; state never does).
 	Reopens uint64 `json:"reopens"`
 	// SpecEvents counts events executed beyond the first lookahead of
-	// their span — work a conservative window would have barriered for.
+	// their span — work a lockstep window scheduler would have
+	// barriered for.
 	SpecEvents uint64 `json:"spec_events"`
 	Stalls     uint64 `json:"stalls"`
 	Jumps      uint64 `json:"jumps"`
@@ -104,12 +81,23 @@ type OptimisticBench struct {
 	// RollbacksPerWindow is Reopens / Spans.
 	RollbacksPerWindow float64 `json:"rollbacks_per_window"`
 	// SpeculationWin is SpecEvents / Events: how much of the run executed
-	// past where a conservative window would have stopped.
+	// past its span's first lookahead.
 	SpeculationWin float64 `json:"speculation_win"`
-	// SpeedupVsConservative is the conservative pass's wall time over
-	// this pass's (> 1 means optimism beat lockstep windows); only
-	// meaningful when SpeedupValid.
-	SpeedupVsConservative float64 `json:"speedup_vs_conservative"`
+}
+
+// WindowOverheadNs is the honest overhead breakdown of a sharded pass:
+// BarrierNs is coordinator time between spans (NIC snapshot refresh,
+// trace flush); WindowWallNs is wall time inside the parallel spans
+// (handshake send to last shard done); ShardBusyNs sums every shard's
+// in-span kernel time, so WindowWallNs − ShardBusyNs/Shards is the
+// dispatch loss — handshake latency, straggler imbalance, and runtime
+// scheduling — that a bare barrier fraction hides.
+type WindowOverheadNs struct {
+	BarrierNs    int64 `json:"barrier_ns"`
+	WindowWallNs int64 `json:"window_wall_ns"`
+	ShardBusyNs  int64 `json:"shard_busy_ns"`
+	// DispatchLossNs is max(0, WindowWallNs − ShardBusyNs/Shards).
+	DispatchLossNs int64 `json:"dispatch_loss_ns"`
 }
 
 // ExpBench is one experiment's wall-clock timing under the sequential
@@ -155,10 +143,8 @@ type BenchResult struct {
 	// read Speedup as a parallelism regression then.
 	Warning string      `json:"warning,omitempty"`
 	Kernel  KernelBench `json:"kernel"`
-	// KernelSharded is the sharded-kernel storm (see ShardedBench).
-	KernelSharded ShardedBench `json:"kernel_sharded"`
-	// KernelOptimistic is the same storm under speculative commit spans
-	// (see OptimisticBench).
+	// KernelOptimistic is the sharded-kernel ring storm (see
+	// OptimisticBench).
 	KernelOptimistic OptimisticBench `json:"kernel_optimistic"`
 	// KernelObserved repeats the storm with a live obs metrics sink
 	// attached to every layer; ObsOverheadPct is the per-event host-time
@@ -268,70 +254,26 @@ func kernelStorm(warmup, packets int, observe func(*am.Universe)) KernelBench {
 	return kb
 }
 
-// KernelStormSharded measures the sharded kernel against the sequential
-// one on an identical workload: a nodes-wide ring storm (every node
-// streams small messages to its right neighbor while polling its own
+// KernelStormOptimistic measures the sharded kernel against the
+// sequential one on an identical workload: a nodes-wide ring storm (every
+// node streams small messages to its right neighbor while polling its own
 // arrivals). Both passes must produce identical virtual results — event
 // count and charged time — or the function panics, since that would break
 // the sharded kernel's core contract.
-func KernelStormSharded(nodes, packets, shards int) ShardedBench {
-	sb, _ := kernelStormModes(nodes, packets, shards, false)
-	return sb
-}
-
-// KernelStormOptimistic runs the ring storm three ways — sequential,
-// conservative sharded, optimistic sharded — verifying both sharded
-// passes bit-identical to the sequential one, and reports the
-// conservative pass plus the optimistic pass with its speculation
-// counters and speedup-vs-conservative.
-func KernelStormOptimistic(nodes, packets, shards int) (ShardedBench, OptimisticBench) {
-	return kernelStormModes(nodes, packets, shards, true)
-}
-
-func kernelStormModes(nodes, packets, shards int, withOpt bool) (ShardedBench, OptimisticBench) {
+func KernelStormOptimistic(nodes, packets, shards int) OptimisticBench {
 	shards = apps.ResolveShards(shards, nodes)
-	seqWall, seqEvents, seqCharged, _, _ := kernelRingStorm(nodes, packets, 1, false)
-	wall, events, charged, ov, _ := kernelRingStorm(nodes, packets, shards, false)
+	seqWall, seqEvents, seqCharged, _, _ := kernelRingStorm(nodes, packets, 1)
+	wall, events, charged, ov, ost := kernelRingStorm(nodes, packets, shards)
 	if events != seqEvents || charged != seqCharged {
 		panic(fmt.Sprintf("exp: sharded storm diverged from sequential: events %d vs %d, charged %v vs %v",
 			events, seqEvents, charged, seqCharged))
 	}
-	sb := fillSharded(shards, nodes, packets, events, wall, seqWall, ov)
-	var ob OptimisticBench
-	if withOpt {
-		owall, oevents, ocharged, oov, ost := kernelRingStorm(nodes, packets, shards, true)
-		if oevents != seqEvents || ocharged != seqCharged {
-			panic(fmt.Sprintf("exp: optimistic storm diverged from sequential: events %d vs %d, charged %v vs %v",
-				oevents, seqEvents, ocharged, seqCharged))
-		}
-		ob.ShardedBench = fillSharded(shards, nodes, packets, oevents, owall, seqWall, oov)
-		ob.Spans, ob.Reopens, ob.SpecEvents = ost.Spans, ost.Reopens, ost.SpecEvents
-		ob.Stalls, ob.Jumps = ost.Stalls, ost.Jumps
-		if ost.SpecEvents > 0 {
-			ob.RollbackRate = float64(ost.Reopens) / float64(ost.SpecEvents)
-		}
-		if ost.Spans > 0 {
-			ob.RollbacksPerWindow = float64(ost.Reopens) / float64(ost.Spans)
-		}
-		if oevents > 0 {
-			ob.SpeculationWin = float64(ost.SpecEvents) / float64(oevents)
-		}
-		if owall > 0 {
-			ob.SpeedupVsConservative = float64(wall.Nanoseconds()) / float64(owall.Nanoseconds())
-		}
-	}
-	return sb, ob
-}
-
-// fillSharded derives the report row of one sharded pass.
-func fillSharded(shards, nodes, packets int, events uint64, wall, seqWall time.Duration, ov sim.WindowOverhead) ShardedBench {
-	sb := ShardedBench{
+	ob := OptimisticBench{
 		Shards:       shards,
 		Nodes:        nodes,
 		Packets:      uint64(nodes * packets),
 		Events:       events,
 		WallNs:       wall.Nanoseconds(),
-		Windows:      ov.Windows,
 		BarrierNs:    ov.BarrierNs,
 		SeqWallNs:    seqWall.Nanoseconds(),
 		SpeedupValid: runtime.GOMAXPROCS(0) > 1 && runtime.NumCPU() >= shards,
@@ -340,30 +282,36 @@ func fillSharded(shards, nodes, packets int, events uint64, wall, seqWall time.D
 			WindowWallNs: ov.WindowWallNs,
 			ShardBusyNs:  ov.ShardBusyNs,
 		},
+		Spans:      ost.Spans,
+		Reopens:    ost.Reopens,
+		SpecEvents: ost.SpecEvents,
+		Stalls:     ost.Stalls,
+		Jumps:      ost.Jumps,
 	}
-	if shards > 0 {
-		if loss := ov.WindowWallNs - ov.ShardBusyNs/int64(shards); loss > 0 {
-			sb.Overhead.DispatchLossNs = loss
-		}
+	if loss := ov.WindowWallNs - ov.ShardBusyNs/int64(shards); loss > 0 {
+		ob.Overhead.DispatchLossNs = loss
 	}
 	if events > 0 {
-		sb.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
+		ob.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
+		ob.SpeculationWin = float64(ost.SpecEvents) / float64(events)
 	}
 	if wall > 0 {
-		sb.BarrierFrac = float64(ov.BarrierNs) / float64(wall.Nanoseconds())
-		sb.Speedup = float64(seqWall.Nanoseconds()) / float64(wall.Nanoseconds())
+		ob.BarrierFrac = float64(ov.BarrierNs) / float64(wall.Nanoseconds())
+		ob.Speedup = float64(seqWall.Nanoseconds()) / float64(wall.Nanoseconds())
 	}
-	return sb
+	if ost.SpecEvents > 0 {
+		ob.RollbackRate = float64(ost.Reopens) / float64(ost.SpecEvents)
+	}
+	if ost.Spans > 0 {
+		ob.RollbacksPerWindow = float64(ost.Reopens) / float64(ost.Spans)
+	}
+	return ob
 }
 
-// kernelRingStorm is one pass of the sharded storm at the given shard
-// count (1 = the sequential kernel) and scheduling mode.
-func kernelRingStorm(nodes, packets, shards int, optimistic bool) (wall time.Duration, events uint64, charged sim.Duration, ov sim.WindowOverhead, ost sim.OptStats) {
-	mode := sim.Conservative
-	if optimistic {
-		mode = sim.Optimistic
-	}
-	eng := sim.NewShardedConfig(1, sim.ShardConfig{Shards: shards, Mode: mode})
+// kernelRingStorm is one pass of the ring storm at the given shard count
+// (1 = the sequential kernel).
+func kernelRingStorm(nodes, packets, shards int) (wall time.Duration, events uint64, charged sim.Duration, ov sim.WindowOverhead, ost sim.OptStats) {
+	eng := sim.NewSharded(1, shards)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	received := make([]int, nodes)
@@ -447,15 +395,15 @@ func Bench(scale Scale) (*BenchResult, error) {
 	}
 	markRSS("kernel")
 	// Sharded pass: a ring storm at min(NumCPU, nodes) shards (forced to
-	// at least 2 so the windowed path is always exercised, even on a
+	// at least 2 so the span path is always exercised, even on a
 	// single-CPU host — the speedup is then < 1 and flagged below).
 	ringNodes, ringPackets := 8, packets/4
 	shards := runtime.NumCPU()
 	if shards < 2 {
 		shards = 2
 	}
-	res.KernelSharded, res.KernelOptimistic = KernelStormOptimistic(ringNodes, ringPackets, shards)
-	markRSS("kernel_sharded")
+	res.KernelOptimistic = KernelStormOptimistic(ringNodes, ringPackets, shards)
+	markRSS("kernel_optimistic")
 	res.KernelObserved, _ = KernelStormObserved(warmup, packets)
 	if res.Kernel.NsPerEvent > 0 {
 		res.ObsOverheadPct = 100 * (res.KernelObserved.NsPerEvent/res.Kernel.NsPerEvent - 1)
@@ -538,13 +486,11 @@ func (r *BenchResult) Table() *Table {
 			"virtual results are byte-identical at any worker count; only wall time changes",
 			fmt.Sprintf("live obs metrics sink: %.0f ns/event (%+.1f%% vs disabled, %.3f allocs/packet)",
 				r.KernelObserved.NsPerEvent, r.ObsOverheadPct, r.KernelObserved.AllocsPerPacket),
-			fmt.Sprintf("sharded kernel: %d shards over %d nodes, %.0f ns/event, %d windows, %.1f%% barrier, %.2fx vs sequential",
-				r.KernelSharded.Shards, r.KernelSharded.Nodes, r.KernelSharded.NsPerEvent,
-				r.KernelSharded.Windows, 100*r.KernelSharded.BarrierFrac, r.KernelSharded.Speedup),
-			fmt.Sprintf("optimistic kernel: %d spans (%d reopens, %.1f%% speculative events), %.2fx vs sequential, %.2fx vs conservative",
+			fmt.Sprintf("sharded kernel: %d shards over %d nodes, %.0f ns/event, %d spans (%d reopens, %.1f%% speculative events), %.1f%% barrier, %.2fx vs sequential",
+				r.KernelOptimistic.Shards, r.KernelOptimistic.Nodes, r.KernelOptimistic.NsPerEvent,
 				r.KernelOptimistic.Spans, r.KernelOptimistic.Reopens,
-				100*r.KernelOptimistic.SpeculationWin,
-				r.KernelOptimistic.Speedup, r.KernelOptimistic.SpeedupVsConservative),
+				100*r.KernelOptimistic.SpeculationWin, 100*r.KernelOptimistic.BarrierFrac,
+				r.KernelOptimistic.Speedup),
 		},
 	}
 	if n := len(r.KernelScale.Points); n > 0 {
@@ -583,9 +529,9 @@ func (r *BenchResult) Table() *Table {
 		gcNote += fmt.Sprintf("; peak RSS %.1f MiB after %s", float64(r.RSS[n-1].PeakRSSBytes)/(1<<20), r.RSS[n-1].Pass)
 	}
 	t.Notes = append(t.Notes, gcNote)
-	if !r.KernelSharded.SpeedupValid {
+	if !r.KernelOptimistic.SpeedupValid {
 		t.Notes = append(t.Notes,
-			"sharded/optimistic speedups are not parallelism measurements on this host (speedup_valid=false)")
+			"the sharded speedup is not a parallelism measurement on this host (speedup_valid=false)")
 	}
 	if r.Warning != "" {
 		t.Notes = append(t.Notes, "WARNING: "+r.Warning)

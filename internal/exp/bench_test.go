@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -36,4 +37,31 @@ func TestKernelStormObserved(t *testing.T) {
 		}
 	}
 	t.Logf("observed storm: %.0f ns/event, %.3f allocs/packet", kb.NsPerEvent, kb.AllocsPerPacket)
+}
+
+// TestOptimisticBenchPass: the bench report's sharded ring storm runs,
+// matches the sequential pass bit-for-bit (KernelStormOptimistic panics
+// otherwise), and reproduces its deterministic counters exactly. Spans,
+// SpecEvents, and Events are functions of virtual state alone, so they
+// are pinned; a change to the span protocol or the storm moves them.
+// Speedup numbers are only validity-checked, never asserted.
+func TestOptimisticBenchPass(t *testing.T) {
+	ob := KernelStormOptimistic(8, 40_000, 2)
+	const (
+		wantSpans      = 2_292
+		wantSpecEvents = 1_276_672
+		wantEvents     = 1_320_024
+	)
+	if ob.Spans != wantSpans || ob.SpecEvents != wantSpecEvents || ob.Events != wantEvents {
+		t.Errorf("storm counters: spans=%d specEvents=%d events=%d, want %d/%d/%d",
+			ob.Spans, ob.SpecEvents, ob.Events, wantSpans, wantSpecEvents, wantEvents)
+	}
+	wantValid := runtime.GOMAXPROCS(0) > 1 && runtime.NumCPU() >= 2
+	if ob.SpeedupValid != wantValid {
+		t.Errorf("speedup_valid = %v, want %v (GOMAXPROCS=%d, NumCPU=%d)",
+			ob.SpeedupValid, wantValid, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	if ob.Overhead.WindowWallNs <= 0 || ob.Overhead.ShardBusyNs <= 0 {
+		t.Errorf("span overhead breakdown not populated: %+v", ob.Overhead)
+	}
 }

@@ -41,7 +41,7 @@ type ChaosRow struct {
 func Chaos(scale Scale) ([]ChaosRow, error) {
 	drops := []float64{0, 0.01, 0.02, 0.05}
 
-	triCfg := triangle.Config{Side: 6, Empty: -1, Seed: 7, Shards: Shards, Optimistic: Optimistic, Cores: Cores}
+	triCfg := triangle.Config{Side: 6, Empty: -1, Seed: 7, Shards: Shards, Cores: Cores}
 	triNodes := 8
 	tspCities, tspSlaves := 12, 8
 	crashAt := sim.Time(100 * sim.Millisecond)
@@ -145,7 +145,7 @@ func Chaos(scale Scale) ([]ChaosRow, error) {
 				{Src: tspSlaves, Dst: -1, From: flapFrom, To: flapTo},
 			}}
 		}
-		cfg := tsp.ChaosConfig{Cities: tspCities, Seed: 12, Shards: Shards, Optimistic: Optimistic, Cores: Cores, Fault: plan}
+		cfg := tsp.ChaosConfig{Cities: tspCities, Seed: 12, Shards: Shards, Cores: Cores, Fault: plan}
 		res, st, err := tsp.RunChaos(tspSlaves, cfg)
 		if err != nil {
 			return fmt.Errorf("chaos tsp drop=%g crashes=%d part=%d flap=%d: %w", j.drop, j.crashes, part, flap, err)
@@ -214,7 +214,7 @@ func ChaosNodeTable(scale Scale) (*Table, error) {
 		crashAt = sim.Time(30 * sim.Millisecond)
 	}
 	cfg := tsp.ChaosConfig{
-		Cities: cities, Seed: 12, Shards: Shards, Optimistic: Optimistic, Cores: Cores,
+		Cities: cities, Seed: 12, Shards: Shards, Cores: Cores,
 		Fault: &cm5.FaultPlan{
 			Seed: 42, DropProb: 0.02, DupProb: 0.01,
 			Crashes: []cm5.Crash{{Node: slaves, At: crashAt}},

@@ -72,7 +72,7 @@ func figTable(title string, rows []FigRow, notes ...string) *Table {
 // Fig1Triangle reproduces Figure 1: the Triangle puzzle on 1..128
 // processors under AM, ORPC, and TRPC.
 func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
-	cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, Shards: Shards, Optimistic: Optimistic, Cores: Cores}
+	cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, Shards: Shards, Cores: Cores}
 	if s.Quick {
 		cfg.Side = 5
 	}
@@ -110,7 +110,7 @@ func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
 // Fig2TSP reproduces Figure 2 (runtime/speedup vs slaves) and its data
 // also feeds Table 2.
 func Fig2TSP(s Scale) (*Table, []FigRow, error) {
-	cfg := tsp.Config{Cities: 12, Seed: 102, Shards: Shards, Optimistic: Optimistic, Cores: Cores}
+	cfg := tsp.Config{Cities: 12, Seed: 102, Shards: Shards, Cores: Cores}
 	slavesList := []int{1, 2, 4, 8, 16, 32, 64, 127}
 	if s.Quick {
 		cfg.Cities = 10
@@ -174,7 +174,6 @@ func Fig3SOR(s Scale) (*Table, []FigRow, error) {
 		cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
 	}
 	cfg.Shards = Shards
-	cfg.Optimistic = Optimistic
 	cfg.Cores = Cores
 	seqr := sor.SolveSeq(cfg)
 	procs := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 128})
@@ -244,7 +243,6 @@ func Fig4Water(s Scale) (*Table, []FigRow, error) {
 	cfg := water.DefaultConfig()
 	cfg.Seed = 103
 	cfg.Shards = Shards
-	cfg.Optimistic = Optimistic
 	cfg.Cores = Cores
 	procs := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	if s.Quick {

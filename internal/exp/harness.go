@@ -15,16 +15,12 @@ import (
 var Workers = runtime.GOMAXPROCS(0)
 
 // Shards is the engine shard count experiment cells request for their app
-// runs (see apps.ResolveShards: 0/1 sequential, negative auto). Results
-// are bit-identical at any value. When both the harness and the engines
+// runs (see apps.ResolveShards: 0/1 sequential, negative auto). Sharded
+// engines advance through optimistic commit spans (see sim.Engine).
+// Results are bit-identical at any value. When both the harness and the engines
 // parallelize, EffectiveWorkers keeps cells × shards within the host
 // budget.
 var Shards = 1
-
-// Optimistic selects the engines' speculative span scheduler instead of
-// lockstep windows for sharded app runs (sim.Optimistic; no effect when
-// the resolved shard count is 1). Results are bit-identical either way.
-var Optimistic = false
 
 // Cores is the simulated per-node core count app runs request
 // (oam.Options.Cores). 1 keeps the paper's single-active dispatch;

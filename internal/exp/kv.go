@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -14,15 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// kvLatBounds are the SLO buckets the sweep's latency probe uses —
-// quantiles resolve to bucket upper bounds, so these are the service's
-// reportable SLO levels.
-var kvLatBounds = []sim.Duration{
-	sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
-	sim.Micros(1000), sim.Micros(3000), sim.Micros(10000), sim.Micros(30000),
-	sim.Micros(100000),
-}
-
 // kvLatProbe feeds request latencies into a pre-materialized histogram.
 // Materialize matters: clients observe from their own engine shards
 // concurrently, so the per-node rows must exist before the run starts.
@@ -32,7 +22,7 @@ type kvLatProbe struct {
 
 func newKVLatProbe(nodes int) *kvLatProbe {
 	r := obs.NewRegistry(nodes)
-	h := r.NewHistogram("kv/latency", kvLatBounds...)
+	h := r.NewHistogram("kv/latency", obs.KVLatBounds...)
 	h.Materialize()
 	return &kvLatProbe{h: h}
 }
@@ -91,7 +81,6 @@ func kvCell(scenario string, sys apps.System, rateX float64, shape func(*kv.Conf
 		RateX:    rateX,
 		Shards:   Shards,
 	}
-	cfg.Optimistic = Optimistic
 	cfg.Cores = Cores
 	if shape != nil {
 		shape(&cfg)
@@ -385,8 +374,8 @@ func (p *kvOccProbe) Fraction() float64 {
 // at 1, 2, and 4 simulated cores per server. Every reported quantity is
 // virtual time, so the pass is deterministic on any host — simulated
 // cores are free in host CPUs, they only parallelize virtual service
-// time. Valid still mirrors speedup_valid's shape (host CPUs >= top
-// core count) so consumers apply the same warn-skip discipline.
+// time. Valid reports only that the sweep measured a goodput at all, so
+// its assertions apply on every host.
 type KVMultiactive struct {
 	// Mode tags the artifact scale ("quick" or "full"), mirroring the
 	// top-level report tag so the pass is self-describing when extracted.
@@ -497,7 +486,7 @@ func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
 	if m.P999Us[0] > 0 {
 		m.P999RatioAtMax = m.P999Us[last] / m.P999Us[0]
 	}
-	m.Valid = m.SpeedupAtMax > 0 && runtime.NumCPU() >= kvMultiactiveCores[last]
+	m.Valid = m.SpeedupAtMax > 0
 	return m, nil
 }
 

@@ -57,29 +57,24 @@ func TestKVQuickGrid(t *testing.T) {
 	}
 }
 
-// TestKVShardInvariance re-runs one steady cell at shard counts 1 and 2
-// through the harness knobs (Shards is a package variable the CLI sets)
-// and requires bit-identical books and hashes.
+// TestKVShardInvariance re-runs one steady cell at shard counts 1, 2
+// and 4 through the harness knobs (Shards is a package variable the CLI
+// sets) and requires bit-identical books and hashes.
 func TestKVShardInvariance(t *testing.T) {
-	run := func(shards int, optimistic bool) KVRow {
-		savedS, savedO := Shards, Optimistic
-		defer func() { Shards, Optimistic = savedS, savedO }()
-		Shards, Optimistic = shards, optimistic
+	run := func(shards int) KVRow {
+		saved := Shards
+		defer func() { Shards = saved }()
+		Shards = shards
 		row, err := kvCell("inv", apps.ORPC, 2, kvShape(nil), 24, sim.Micros(8000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return row
 	}
-	base := run(1, false)
-	for _, m := range []struct {
-		shards     int
-		optimistic bool
-	}{{2, false}, {2, true}} {
-		got := run(m.shards, m.optimistic)
-		if got != base {
-			t.Fatalf("shards=%d optimistic=%v diverged:\n got %+v\nwant %+v",
-				m.shards, m.optimistic, got, base)
+	base := run(1)
+	for _, shards := range shardCounts[1:] {
+		if got := run(shards); got != base {
+			t.Fatalf("shards=%d diverged:\n got %+v\nwant %+v", shards, got, base)
 		}
 	}
 }
@@ -104,11 +99,14 @@ func TestKVSaturationQuick(t *testing.T) {
 
 // TestKVMultiactiveQuick checks the multiactive bench pass on the quick
 // cell: everything it reports is virtual time, so the assertions are
-// deterministic on any host (only Valid depends on the host CPU count).
+// deterministic on any host.
 func TestKVMultiactiveQuick(t *testing.T) {
 	m, err := KVMultiactiveBench(true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !m.Valid {
+		t.Fatalf("multiactive pass measured no goodput: %+v", m)
 	}
 	if m.SpeedupAtMax < 1.3 {
 		t.Fatalf("multiactive goodput speedup %.2fx < 1.3x: %+v", m.SpeedupAtMax, m)
@@ -134,13 +132,13 @@ func TestKVMultiactiveQuick(t *testing.T) {
 }
 
 // TestKVMultiactiveShardInvariance re-runs the 2-core cell at shard
-// counts 1 and 2 (and 2-optimistic) and requires bit-identical books —
-// the multiactive extension of TestKVShardInvariance.
+// counts 1, 2 and 4 and requires bit-identical books — the multiactive
+// extension of TestKVShardInvariance.
 func TestKVMultiactiveShardInvariance(t *testing.T) {
-	run := func(shards int, optimistic bool) KVRow {
-		savedS, savedO := Shards, Optimistic
-		defer func() { Shards, Optimistic = savedS, savedO }()
-		Shards, Optimistic = shards, optimistic
+	run := func(shards int) KVRow {
+		saved := Shards
+		defer func() { Shards = saved }()
+		Shards = shards
 		row, err := kvCell("inv", apps.ORPC, 2, kvShape(func(c *kv.Config) {
 			c.Cores = 2
 			c.ZipfS = 1.1
@@ -150,18 +148,13 @@ func TestKVMultiactiveShardInvariance(t *testing.T) {
 		}
 		return row
 	}
-	base := run(1, false)
+	base := run(1)
 	if base.OK == 0 {
 		t.Fatal("no traffic in the multiactive invariance cell")
 	}
-	for _, m := range []struct {
-		shards     int
-		optimistic bool
-	}{{2, false}, {2, true}} {
-		got := run(m.shards, m.optimistic)
-		if got != base {
-			t.Fatalf("shards=%d optimistic=%v diverged:\n got %+v\nwant %+v",
-				m.shards, m.optimistic, got, base)
+	for _, shards := range shardCounts[1:] {
+		if got := run(shards); got != base {
+			t.Fatalf("shards=%d diverged:\n got %+v\nwant %+v", shards, got, base)
 		}
 	}
 }

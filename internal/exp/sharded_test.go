@@ -28,11 +28,12 @@ type appRecord struct {
 	charged   sim.Duration
 	traceHash uint64
 	traceLen  int
+	opt       sim.OptStats
 }
 
-// runShardedApp runs one app under ORPC at the given shard count and
-// scheduling mode with a canonical tracer attached.
-func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRecord {
+// runAppAtShards runs one app under ORPC at the given shard count with a
+// canonical tracer attached.
+func runAppAtShards(t *testing.T, app string, shards int) appRecord {
 	t.Helper()
 	tr := sim.NewCanonicalTracer()
 	var eng *sim.Engine
@@ -45,16 +46,16 @@ func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRec
 	switch app {
 	case "triangle":
 		res, err = triangle.Run(apps.ORPC, 4, triangle.Config{
-			Side: 5, Empty: -1, Seed: 101, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Side: 5, Empty: -1, Seed: 101, Shards: shards, Observe: observe})
 	case "tsp":
 		res, err = tsp.Run(apps.ORPC, 3, tsp.Config{
-			Cities: 9, Seed: 102, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Cities: 9, Seed: 102, Shards: shards, Observe: observe})
 	case "sor":
 		res, err = sor.Run(apps.ORPC, 4, sor.Config{
-			Rows: 24, Cols: 16, Iters: 4, Seed: 11, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Rows: 24, Cols: 16, Iters: 4, Seed: 11, Shards: shards, Observe: observe})
 	case "water":
 		res, err = water.Run(apps.ORPC, 4, true, water.Config{
-			Mols: 64, Iters: 2, Seed: 103, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Mols: 64, Iters: 2, Seed: 103, Shards: shards, Observe: observe})
 	default:
 		t.Fatalf("unknown app %q", app)
 	}
@@ -68,7 +69,7 @@ func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRec
 		t.Fatalf("%s: engine has %d shards, want %d", app, eng.Shards(), shards)
 	}
 	text := tr.Text()
-	return appRecord{res: res, charged: eng.Charged(), traceHash: tr.Hash(), traceLen: len(text)}
+	return appRecord{res: res, charged: eng.Charged(), traceHash: tr.Hash(), traceLen: len(text), opt: eng.OptStats()}
 }
 
 // TestShardedEquivalenceApps: for all four applications, a sharded run is
@@ -77,12 +78,12 @@ func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRec
 // schedule trace that hashes identically.
 func TestShardedEquivalenceApps(t *testing.T) {
 	for _, app := range []string{"triangle", "tsp", "sor", "water"} {
-		seq := runShardedApp(t, app, 1, false)
+		seq := runAppAtShards(t, app, 1)
 		if seq.traceLen == 0 {
 			t.Fatalf("%s: sequential run produced an empty schedule trace", app)
 		}
 		for _, s := range shardCounts[1:] {
-			got := runShardedApp(t, app, s, false)
+			got := runAppAtShards(t, app, s)
 			if got.res != seq.res {
 				t.Errorf("%s: result at shards=%d differs from sequential:\n got %+v\nwant %+v",
 					app, s, got.res, seq.res)

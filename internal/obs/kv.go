@@ -13,10 +13,12 @@ var kvOutcomes = [4]kv.Outcome{
 	kv.OutcomeOK, kv.OutcomeDrop, kv.OutcomeShed, kv.OutcomeTimeout,
 }
 
-// kvLatBounds are the SLO-grade latency buckets: tight enough at the
-// bottom to resolve a healthy p50, wide enough at the top to hold the
-// retry-and-back-off tail without overflowing.
-var kvLatBounds = []sim.Duration{
+// KVLatBounds are the SLO-grade latency buckets of the kv service: tight
+// enough at the bottom to resolve a healthy p50, wide enough at the top
+// to hold the retry-and-back-off tail without overflowing. Quantiles
+// resolve to bucket upper bounds, so these are the service's reportable
+// SLO levels.
+var KVLatBounds = []sim.Duration{
 	sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
 	sim.Micros(1000), sim.Micros(3000), sim.Micros(10000), sim.Micros(30000),
 	sim.Micros(100000),

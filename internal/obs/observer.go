@@ -163,7 +163,7 @@ func (c *Collector) Attach(u *am.Universe, rt *rpc.Runtime) {
 		c.hCall = r.NewHistogram("rpc/call_time",
 			sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
 			sim.Micros(1000), sim.Micros(10000))
-		c.hKVLat = r.NewHistogram("kv/latency", kvLatBounds...)
+		c.hKVLat = r.NewHistogram("kv/latency", KVLatBounds...)
 	}
 
 	if c.tb != nil {

@@ -31,15 +31,38 @@ type Action interface {
 	Run()
 }
 
+// defaultSpanLookaheads is the width of a commit span, in lookaheads.
+const defaultSpanLookaheads = 32
+
+// ShardConfig configures NewShardedConfig.
+type ShardConfig struct {
+	// Shards is the shard count (clamped below at 1). One shard is the
+	// sequential kernel; more run the shards in parallel commit spans.
+	Shards int
+	// EventHint is the expected machine-wide pending-event population,
+	// used to pre-size the per-shard calendar queues (0 = default). See
+	// Engine.HintEvents.
+	EventHint int
+}
+
 // WindowHook lets the machine layer participate in sharded execution.
-// Lookahead(now) bounds the width of the next parallel window: no event
-// executed inside [now, now+Lookahead) may schedule work on another shard
-// earlier than the window's end. Barrier runs between windows, on the
-// coordinator goroutine with every shard quiescent; it is where
-// cross-shard traffic buffered during the window is merged and scheduled
-// in canonical order.
+// Only sharded runs consult it.
 type WindowHook interface {
+	// Lookahead(now) is a lower bound on the virtual-time latency of any
+	// cross-shard flight sent at or after now; it sets how far a shard
+	// may run ahead of its slowest peer.
 	Lookahead(now Time) Duration
+	// NextBound returns the earliest instant after now where network
+	// behavior changes (a fault-plan slow-window or partition edge), or
+	// any time <= now when there is none. Commit spans are cut there, so
+	// the lookahead chosen at span start holds for the whole span.
+	NextBound(now Time) Time
+	// Arrive materializes an eagerly published cross-shard arrival
+	// (Shard.Inject) on its destination shard. It runs on that shard's
+	// goroutine, so it may touch the shard's pools and state freely.
+	Arrive(sh *Shard, at Time, key uint64, payload any)
+	// Barrier runs between commit spans, on the coordinator goroutine
+	// with every shard quiescent; it may touch any state.
 	Barrier()
 }
 
@@ -53,32 +76,29 @@ type WindowHook interface {
 //
 // A sharded engine (NewSharded with S > 1) partitions the simulation
 // across S shards, each an independent kernel over its own event heap and
-// process table, advancing in lockstep virtual-time windows whose width
-// is bounded by the WindowHook's lookahead. Work must be scheduled on the
-// shard that owns it (Shard(i)); the Engine-level scheduling methods
-// delegate to shard 0 for setup convenience. The contract — enforced by
-// the canonical event order (see heap.go) and barrier-time merging — is
-// that a sharded run is bit-identical to the sequential one.
+// process table. The shards advance through optimistic commit spans (see
+// optimistic.go): each runs ahead of its peers up to a proven-safe
+// horizon set by the WindowHook's lookahead, and they rendezvous only at
+// span boundaries. Work must be scheduled on the shard that owns it
+// (Shard(i)); the Engine-level scheduling methods delegate to shard 0 for
+// setup convenience. The contract — enforced by the canonical event order
+// (see heap.go) — is that a sharded run is bit-identical to the
+// sequential one.
 type Engine struct {
 	shards []*Shard
 	seed   int64
 	rng    *rand.Rand
 	probe  Probe
 	hook   WindowHook
-	// arrive/spanHook are the hook's optional optimistic-mode facets
-	// (captured by type assertion in SetWindowHook).
-	arrive   ArrivalHook
-	spanHook SpanHook
 
-	// Optimistic-mode configuration (see ShardConfig); opt is nil for
-	// sequential and conservative engines.
-	mode     ShardMode
-	ckpt     Duration
-	maxDrift Duration
-	opt      *optState
+	// opt is the span coordination state; nil for sequential engines.
+	// spanLookaheads is the commit-span width in lookaheads (tests
+	// narrow it to force stragglers onto span edges).
+	opt            *optState
+	spanLookaheads int
 
 	// userTracer receives trace records in sharded mode, where shards
-	// buffer transitions during windows and the coordinator flushes them
+	// buffer transitions during spans and the coordinator flushes them
 	// in canonical order at barriers. Sequential engines bypass this and
 	// trace straight from the kernel loop.
 	userTracer Tracer
@@ -88,19 +108,18 @@ type Engine struct {
 	// instants, collective releases — events that must fire at an exact
 	// instant before any shard's same-time work. Sequential engines keep
 	// these on the one shard's heap (classGlobal) instead. gmu guards it:
-	// optimistic runs schedule collective releases eagerly from inside
-	// spans, concurrently with the shards.
+	// collectives schedule their releases eagerly from inside spans,
+	// concurrently with the shards.
 	globals []globalEvent
 	gseq    uint64
 	gmu     sync.Mutex
 
 	stopFlag atomic.Bool
-	deadline Time
 
 	runnersStarted bool
 	windows        uint64
 	barrierNs      int64
-	// windowWallNs is the host time spent inside parallel windows/spans
+	// windowWallNs is the host time spent inside parallel spans
 	// (handshake send to last completion); with the shards' own busy
 	// time it decomposes where a sharded run's wall clock went.
 	windowWallNs int64
@@ -124,19 +143,14 @@ func New(seed int64) *Engine {
 
 // NewSharded returns an engine with the given number of shards (clamped
 // below at 1). With one shard it is exactly the sequential kernel; with
-// more, Run executes the shards in parallel over lockstep virtual-time
-// windows. The same seed and workload yield the same simulation at any
-// shard count.
+// more, Run executes the shards in parallel over commit spans. The same
+// seed and workload yield the same simulation at any shard count.
 func NewSharded(seed int64, shards int) *Engine {
 	return NewShardedConfig(seed, ShardConfig{Shards: shards})
 }
 
-// NewShardedConfig is NewSharded with the full shard configuration:
-// cfg.Mode == Optimistic selects speculative span execution (see
-// ShardMode and ShardConfig). A single-shard engine is always the plain
-// sequential kernel regardless of Mode. Every mode, shard count, and
-// checkpoint width yields the same simulation for the same seed and
-// workload; only wall-clock time changes.
+// NewShardedConfig is NewSharded with the full shard configuration (see
+// ShardConfig).
 func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	shards := cfg.Shards
 	if shards < 1 {
@@ -150,11 +164,9 @@ func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
 	}
-	if cfg.Mode == Optimistic && shards > 1 {
-		e.mode = Optimistic
-		e.ckpt = cfg.CheckpointEvery
-		e.maxDrift = cfg.MaxDrift
+	if shards > 1 {
 		e.opt = newOptState(e)
+		e.spanLookaheads = defaultSpanLookaheads
 	}
 	if cfg.EventHint > 0 {
 		e.HintEvents(cfg.EventHint)
@@ -175,10 +187,6 @@ func (e *Engine) HintEvents(total int) {
 	}
 }
 
-// Mode reports the engine's shard mode (Conservative for sequential and
-// lockstep-sharded engines).
-func (e *Engine) Mode() ShardMode { return e.mode }
-
 // sharded reports whether this engine runs more than one shard.
 func (e *Engine) sharded() bool { return len(e.shards) > 1 }
 
@@ -194,16 +202,16 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time. In a sharded run, shard clocks
-// agree at barriers; mid-window, use the owning shard's Now.
+// agree at barriers; mid-span, use the owning shard's Now.
 func (e *Engine) Now() Time { return e.shards[0].now }
 
 // Rand returns the engine's deterministic random source. Its draws depend
 // on call order, so sharded-safe code must not use it from inside
-// windows; derive per-stream generators from Seed instead.
+// spans; derive per-stream generators from Seed instead.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // SetTracer installs a tracer; pass nil to disable tracing. In a sharded
-// engine, records are buffered per shard during windows and flushed in
+// engine, records are buffered per shard during spans and flushed in
 // canonical (time, process name, transition) order at barriers.
 func (e *Engine) SetTracer(t Tracer) {
 	if !e.sharded() {
@@ -217,7 +225,7 @@ func (e *Engine) SetTracer(t Tracer) {
 }
 
 // SetProbe installs a process-accounting probe; pass nil to disable.
-// Probes see events mid-window from multiple goroutines, so they are
+// Probes see events mid-span from multiple goroutines, so they are
 // only supported on sequential engines.
 func (e *Engine) SetProbe(p Probe) {
 	if p != nil && e.sharded() {
@@ -227,15 +235,9 @@ func (e *Engine) SetProbe(p Probe) {
 	e.shards[0].probe = p
 }
 
-// SetWindowHook installs the machine layer's window hook (lookahead bound
-// and barrier merge). Only consulted by sharded runs. Hooks that also
-// implement ArrivalHook and/or SpanHook participate in optimistic mode
-// (eager cross-shard arrivals; span cuts at fault-plan boundaries).
-func (e *Engine) SetWindowHook(h WindowHook) {
-	e.hook = h
-	e.arrive, _ = h.(ArrivalHook)
-	e.spanHook, _ = h.(SpanHook)
-}
+// SetWindowHook installs the machine layer's window hook. Only consulted
+// by sharded runs.
+func (e *Engine) SetWindowHook(h WindowHook) { e.hook = h }
 
 // Charged reports the total virtual CPU time consumed by completed
 // charges so far, summed across shards.
@@ -287,18 +289,18 @@ func (e *Engine) Live() int {
 	return n
 }
 
-// WindowStats reports how many parallel windows (or, optimistic, commit
-// spans) a sharded run executed and the host time spent in barriers
-// (merging cross-shard traffic). Zero for sequential engines.
+// WindowStats reports how many commit spans a sharded run executed and
+// the host time spent in barriers (merging cross-shard traffic). Zero for
+// sequential engines.
 func (e *Engine) WindowStats() (windows uint64, barrier time.Duration) {
 	return e.windows, time.Duration(e.barrierNs)
 }
 
 // WindowOverhead decomposes where a sharded run's host time went, for
 // honest barrier accounting: BarrierNs is coordinator merge + trace-flush
-// time; WindowWallNs is the wall time of the parallel windows themselves
+// time; WindowWallNs is the wall time of the parallel spans themselves
 // (handshake send to last shard done); ShardBusyNs sums every shard's
-// in-window kernel time. WindowWallNs minus ShardBusyNs/Shards
+// in-span kernel time. WindowWallNs minus ShardBusyNs/Shards
 // approximates the pure coordination loss — channel handshakes, straggler
 // imbalance, and scheduler latency — that BarrierFrac alone hides.
 type WindowOverhead struct {
@@ -348,14 +350,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // Crash points and collective releases use this so their position in the
 // total event order is identical in sequential and sharded runs. In a
 // sharded engine, globals run on the coordinator goroutine between
-// windows; they may touch any shard's state and schedule onto any shard.
-// Under a conservative engine AtGlobal must be called from setup code or
-// barrier/global context, not from inside a parallel window; under an
-// optimistic engine it may also be called from inside a span (eagerly
-// applied collectives do), in which case the running span is cut so the
-// global still fires between spans — every such instant provably exceeds
-// every event time any shard can reach this span (collective latencies
-// exceed the lookahead).
+// spans; they may touch any shard's state and schedule onto any shard.
+// AtGlobal may also be called from inside a span (eagerly applied
+// collectives do), in which case the running span is cut so the global
+// still fires between spans — every such instant provably exceeds every
+// event time any shard can reach this span (collective latencies exceed
+// the lookahead).
 func (e *Engine) AtGlobal(t Time, key uint64, fn func()) {
 	if !e.sharded() {
 		e.shards[0].schedule(t, classGlobal, key, evFunc, fn, nil, nil)
@@ -375,9 +375,7 @@ func (e *Engine) AtGlobal(t Time, key uint64, fn func()) {
 		return a.seq < b.seq
 	})
 	e.gmu.Unlock()
-	if e.opt != nil {
-		e.opt.cutSpan(t)
-	}
+	e.opt.cutSpan(t)
 }
 
 // Timer is a handle to a scheduled kernel callback that can be cancelled
@@ -411,9 +409,8 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Stop terminates Run after the current event completes (sequential), at
-// the next window barrier (conservative sharded), or at the next span
-// commit (optimistic). Call Shutdown to release the goroutines of any
+// Stop terminates Run after the current event completes (sequential) or
+// at the next span commit (sharded). Call Shutdown to release the goroutines of any
 // still-live processes.
 func (e *Engine) Stop() {
 	if !e.sharded() {
@@ -430,7 +427,7 @@ type killedSentinel struct{}
 // Shutdown forcibly terminates every live process and drops all pending
 // events, releasing the backing goroutines — including the pooled workers
 // of already-finished processes and, in a sharded engine, the per-shard
-// window runners. It must be called from outside Run (i.e., not from a
+// span runners. It must be called from outside Run (i.e., not from a
 // process or kernel callback). The engine is dead afterwards. Simulations
 // that end with parked service processes (node idle loops, servers)
 // should always Shutdown to avoid goroutine leaks.
@@ -451,10 +448,10 @@ func (e *Engine) Shutdown() {
 		e.runnersStarted = false
 	}
 	// Reap every shard at the engine's final virtual time. Shards bump
-	// now at mode-dependent points (lockstep window starts vs optimistic
-	// span starts), so per-shard now here would leak the scheduling mode
-	// into shutdown-time trace timestamps; the maximum across shards is
-	// the time of the last executed event, identical in every mode.
+	// now at span starts, so per-shard now here would leak the span
+	// structure into shutdown-time trace timestamps; the maximum across
+	// shards is the time of the last executed event, identical at every
+	// shard count.
 	var end Time
 	for _, sh := range e.shards {
 		if sh.now > end {
@@ -498,7 +495,7 @@ func (e *Engine) Run() error {
 		sh.runKernel()
 		return e.finishRun()
 	}
-	e.runWindows(maxTime)
+	e.runSpans(maxTime)
 	return e.finishRun()
 }
 
@@ -514,7 +511,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		}
 		return e.finishRun()
 	}
-	e.runWindows(deadline)
+	e.runSpans(deadline)
 	for _, sh := range e.shards {
 		if sh.now < deadline && sh.failure == nil && sh.kernelPanic == nil {
 			sh.now = deadline
@@ -523,21 +520,12 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return e.finishRun()
 }
 
-// runWindows drives a sharded run in the engine's configured mode.
-func (e *Engine) runWindows(deadline Time) {
-	if e.mode == Optimistic {
-		e.runOptimistic(deadline)
-		return
-	}
-	e.runSharded(deadline)
-}
-
-// dispatchWindow hands one window (or span) ending at last to every shard
-// runner and waits for all of them, accounting the wall time.
-func (e *Engine) dispatchWindow(last Time) {
+// dispatchSpan hands the span set up by beginSpan to every shard runner
+// and waits for all of them, accounting the wall time.
+func (e *Engine) dispatchSpan() {
 	start := time.Now()
 	for _, sh := range e.shards {
-		sh.windowCh <- last
+		sh.windowCh <- struct{}{}
 	}
 	for _, sh := range e.shards {
 		<-sh.windowDone
@@ -545,78 +533,17 @@ func (e *Engine) dispatchWindow(last Time) {
 	e.windowWallNs += time.Since(start).Nanoseconds()
 }
 
-// startRunners launches the per-shard window-runner goroutines (once).
+// startRunners launches the per-shard span-runner goroutines (once).
 func (e *Engine) startRunners() {
 	if e.runnersStarted {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.windowCh = make(chan Time)
+		sh.windowCh = make(chan struct{})
 		sh.windowDone = make(chan struct{})
 		go sh.windowRunner()
 	}
 	e.runnersStarted = true
-}
-
-// runSharded is the window coordinator: it alternates barriers (merge
-// cross-shard traffic, flush traces, run due globals) with parallel
-// windows (every shard executes its own events up to the window's end).
-// The window width is bounded by the hook's lookahead and additionally
-// cut at the next global event, so no event can observe work another
-// shard has not yet made visible.
-func (e *Engine) runSharded(deadline Time) {
-	e.deadline = deadline
-	e.startRunners()
-	for {
-		e.barrier()
-		if e.stopFlag.Load() || e.anyDown() {
-			break
-		}
-		b, ok := e.nextTime()
-		if !ok || b > deadline {
-			break
-		}
-		for _, sh := range e.shards {
-			if sh.now < b {
-				sh.now = b
-			}
-		}
-		e.runGlobalsAt(b)
-		if e.anyDown() {
-			break
-		}
-		// Window [b, last], inclusive. The hook's lookahead bounds it;
-		// the next global event cuts it (globals fire between windows);
-		// the run deadline caps it.
-		last := deadline
-		if e.hook != nil {
-			la := e.hook.Lookahead(b)
-			if la < 1 {
-				la = 1
-			}
-			if wl := b.Add(la) - 1; wl < last {
-				last = wl
-			}
-		}
-		if len(e.globals) > 0 && e.globals[0].at-1 < last {
-			last = e.globals[0].at - 1
-		}
-		if last < b {
-			last = b
-		}
-		work := false
-		for _, sh := range e.shards {
-			if sh.heap.len() > 0 && sh.heap.first().at <= last {
-				work = true
-				break
-			}
-		}
-		if !work {
-			continue
-		}
-		e.windows++
-		e.dispatchWindow(last)
-	}
 }
 
 // anyDown reports whether any shard has failed, panicked in a kernel

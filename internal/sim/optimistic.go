@@ -5,69 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// ShardMode selects how a sharded engine advances its shards through
-// virtual time.
-type ShardMode uint8
-
-const (
-	// Conservative is the lockstep mode: all shards advance through
-	// global virtual-time windows of width bounded by the hook's
-	// lookahead, with a coordinator barrier between every window.
-	Conservative ShardMode = iota
-	// Optimistic is the speculative mode: shards run asynchronously
-	// through much wider commit spans, racing ahead of each other up to a
-	// proven-safe horizon (min of the other shards' clocks plus the
-	// lookahead), publishing cross-shard flights eagerly, and
-	// rendezvousing only at span boundaries — the GVT commit points where
-	// buffered traces flush, NIC snapshots refresh, and globals fire.
-	// Results are bit-identical to Conservative and to sequential.
-	Optimistic
-)
-
-// ShardConfig configures NewShardedConfig.
-type ShardConfig struct {
-	// Shards is the shard count (clamped below at 1).
-	Shards int
-	// Mode selects lockstep or speculative execution. Ignored (always
-	// Conservative) when Shards <= 1: a single shard is the sequential
-	// kernel.
-	Mode ShardMode
-	// CheckpointEvery is the virtual-time width of an optimistic commit
-	// span — the distance between GVT commit barriers. 0 means 32x the
-	// hook's lookahead, chosen at each span start. Spans are additionally
-	// cut at global events (crashes, collective releases), at the hook's
-	// NextBound (fault-plan slow/partition edges), and at the run
-	// deadline, so CheckpointEvery only bounds the barrier-free stretch.
-	CheckpointEvery Duration
-	// MaxDrift bounds how far (in virtual time) any shard's clock may run
-	// ahead of the slowest shard within a span; 0 means unbounded (the
-	// span end is then the only drift bound). Values below the lookahead
-	// are clamped up to it.
-	MaxDrift Duration
-	// EventHint is the expected machine-wide pending-event population,
-	// used to pre-size the per-shard calendar queues (0 = default). See
-	// Engine.HintEvents.
-	EventHint int
-}
-
-// ArrivalHook materializes an eagerly published cross-shard arrival
-// (Shard.Inject) on its destination shard: the machine layer reserves the
-// NIC slot and schedules the delivery event. It runs on the destination
-// shard's goroutine, so it may touch that shard's pools and NICs freely.
-// Optimistic mode requires the window hook to also implement this.
-type ArrivalHook interface {
-	Arrive(sh *Shard, at Time, key uint64, payload any)
-}
-
-// SpanHook lets the machine layer cut optimistic commit spans at
-// fault-plan boundaries: NextBound returns the earliest instant after now
-// where network behavior changes (slow-window or partition edge), or any
-// time <= now when there is none. Optional; consulted only by optimistic
-// runs.
-type SpanHook interface {
-	NextBound(now Time) Time
-}
-
 // inbound is one eagerly published cross-shard arrival awaiting
 // materialization by the owning shard.
 type inbound struct {
@@ -94,10 +31,8 @@ type optState struct {
 	// virtual-time latency of any cross-shard flight sent within the
 	// span. Constant per span (spans are cut at fault-plan edges).
 	la Duration
-	// drift is the effective MaxDrift for the current span (>= la), or 0.
-	drift Duration
 	// specStart is spanStart + la: events at or after it ran beyond the
-	// first conservative window of the span, i.e. needed speculation.
+	// span's first lookahead, i.e. needed speculation.
 	specStart Time
 	// spanEnd is the span's inclusive last instant. Shrunk mid-span
 	// (atomically) when an eagerly applied collective schedules a release
@@ -152,10 +87,6 @@ func newOptState(e *Engine) *optState {
 // coordinator calls it with every shard runner idle.
 func (o *optState) beginSpan(start, end Time, la Duration) {
 	o.la = la
-	o.drift = o.e.maxDrift
-	if o.drift > 0 && o.drift < la {
-		o.drift = la
-	}
 	o.specStart = start.Add(la)
 	o.spanEnd.Store(int64(end))
 	o.spanOver = false
@@ -195,25 +126,18 @@ func (o *optState) abortSpan() {
 
 // horizon returns the exclusive execution bound for shard j: one
 // lookahead past the minimum of the other shards' claims (nothing can
-// arrive at j before that), optionally tightened by the drift bound.
+// arrive at j before that).
 func (o *optState) horizon(j int) Time {
-	minPeer, minAll := maxTime, maxTime
+	minPeer := maxTime
 	for k := range o.clocks {
-		c := Time(o.clocks[k].Load())
-		if c < minAll {
-			minAll = c
+		if k == j {
+			continue
 		}
-		if k != j && c < minPeer {
+		if c := Time(o.clocks[k].Load()); c < minPeer {
 			minPeer = c
 		}
 	}
-	h := minPeer.Add(o.la)
-	if o.drift > 0 {
-		if d := minAll.Add(o.drift); d < h {
-			h = d
-		}
-	}
-	return h
+	return minPeer.Add(o.la)
 }
 
 // gate is the optimistic scheduling decision, taken by each shard before
@@ -381,8 +305,8 @@ func (o *optState) advanceClaims(self int) bool {
 // is quiescent, so the span's LBTS — the exact minimum next-event time
 // across all shards — is computable. Past the span end, the span is over;
 // otherwise every claim jumps to min(its next event, LBTS + la) and the
-// LBTS owner resumes. This is what replaces the conservative mode's
-// per-lookahead global barrier: a rendezvous only when everyone is idle.
+// LBTS owner resumes. This is what spares the engine a global barrier
+// per lookahead: a rendezvous only when everyone is idle.
 // Returns false when the caller should sleep instead of rechecking: a
 // sleeper still has undrained traffic (it must wake and drain before its
 // next-event time can be trusted), or nothing changed and the woken LBTS
@@ -412,8 +336,7 @@ func (o *optState) resolve() bool {
 		return true
 	}
 	// Execution machine-wide resumes at LBTS, so nothing can arrive
-	// anywhere before LBTS + la: jump claims (without the drift cap —
-	// all clocks jump together, so drift does not grow).
+	// anywhere before LBTS + la: jump claims.
 	moved := false
 	for j, sh := range shards {
 		nt := maxTime
@@ -451,11 +374,10 @@ func (o *optState) resolve() bool {
 	return true
 }
 
-// Inject publishes a cross-shard arrival into this shard's inbox: the
-// optimistic-mode replacement for the conservative outbox-and-barrier
-// route. Called from the sending shard mid-span; the owning shard
-// materializes the arrival (via the engine's ArrivalHook) at its next
-// gate pass. The payload travels as-is — receivers cast it back.
+// Inject publishes a cross-shard arrival into this shard's inbox. Called
+// from the sending shard mid-span; the owning shard materializes the
+// arrival (via the window hook's Arrive) at its next gate pass. The
+// payload travels as-is — receivers cast it back.
 func (sh *Shard) Inject(at Time, key uint64, payload any) {
 	sh.inmu.Lock()
 	wasPending := sh.inboxPending.Load()
@@ -490,9 +412,9 @@ func (sh *Shard) drainInbox(o *optState) {
 		sh.inboxSpare = items
 		return
 	}
-	hook := sh.eng.arrive
+	hook := sh.eng.hook
 	if hook == nil {
-		panic("sim: optimistic cross-shard traffic requires the window hook to implement ArrivalHook")
+		panic("sim: cross-shard traffic requires a window hook")
 	}
 	minAt := maxTime
 	for i := range items {
@@ -511,13 +433,13 @@ func (sh *Shard) drainInbox(o *optState) {
 	}
 }
 
-// OptStats reports the speculative-execution counters of an optimistic
-// run (all zero otherwise). Spans and SpecEvents are deterministic for a
-// given workload and shard count; Reopens, Stalls, and Jumps depend on
-// host scheduling and belong in benchmarks, never in equivalence goldens.
+// OptStats reports the speculative-execution counters of a sharded run
+// (all zero for a sequential engine). Spans and SpecEvents are
+// deterministic for a given workload and shard count; Reopens, Stalls,
+// and Jumps depend on host scheduling and belong in benchmarks, never in
+// equivalence goldens.
 type OptStats struct {
-	// Spans is the number of committed spans (GVT advances) — the
-	// optimistic analogue of the conservative window count.
+	// Spans is the number of committed spans (GVT advances).
 	Spans uint64
 	// Reopens counts retracted span-completion claims: a shard had
 	// tentatively finished its span when a straggler flight landed back
@@ -526,8 +448,8 @@ type OptStats struct {
 	// are.
 	Reopens uint64
 	// SpecEvents counts events executed at or beyond their span's first
-	// lookahead — each would have cost a global barrier in conservative
-	// mode. The speculation win.
+	// lookahead — each would have cost a global barrier in a lockstep
+	// window scheduler. The speculation win.
 	SpecEvents uint64
 	// Stalls counts shard blocks (condition-variable waits).
 	Stalls uint64
@@ -535,8 +457,7 @@ type OptStats struct {
 	Jumps uint64
 }
 
-// OptStats returns the optimistic-run counters; zero for sequential and
-// conservative engines.
+// OptStats returns the sharded-run counters; zero for sequential engines.
 func (e *Engine) OptStats() OptStats {
 	var s OptStats
 	if e.opt == nil {
@@ -552,17 +473,15 @@ func (e *Engine) OptStats() OptStats {
 	return s
 }
 
-// runOptimistic is the optimistic coordinator: like runSharded it
-// alternates barriers with parallel execution, but the parallel stretch
-// is a whole commit span (CheckpointEvery wide, default 32 lookaheads)
-// instead of a single lookahead window, and within a span the shards
+// runSpans is the coordinator of a sharded run: it alternates barriers
+// (the hook's merge step, trace flush, due globals) with parallel commit
+// spans of spanLookaheads lookaheads each. Within a span the shards
 // synchronize among themselves through clocks and horizons instead of
 // returning to the coordinator. Spans are cut at global events, at
-// fault-plan boundaries (SpanHook), and at the deadline, so the commit
-// sequence — where traces flush, NIC snapshots refresh, and globals
-// fire — is a deterministic function of virtual state alone.
-func (e *Engine) runOptimistic(deadline Time) {
-	e.deadline = deadline
+// fault-plan boundaries (WindowHook.NextBound), and at the deadline, so
+// the commit sequence — where traces flush, NIC snapshots refresh, and
+// globals fire — is a deterministic function of virtual state alone.
+func (e *Engine) runSpans(deadline Time) {
 	e.startRunners()
 	o := e.opt
 	for {
@@ -590,16 +509,12 @@ func (e *Engine) runOptimistic(deadline Time) {
 				la = 1
 			}
 		}
-		width := e.ckpt
-		if width <= 0 {
-			width = 32 * la
-		}
 		last := deadline
-		if wl := b.Add(width) - 1; wl < last {
+		if wl := b.Add(Duration(e.spanLookaheads)*la) - 1; wl < last {
 			last = wl
 		}
-		if e.spanHook != nil {
-			if nb := e.spanHook.NextBound(b); nb > b && nb-1 < last {
+		if e.hook != nil {
+			if nb := e.hook.NextBound(b); nb > b && nb-1 < last {
 				last = nb - 1
 			}
 		}
@@ -621,6 +536,6 @@ func (e *Engine) runOptimistic(deadline Time) {
 		}
 		e.windows++
 		o.beginSpan(b, last, la)
-		e.dispatchWindow(last)
+		e.dispatchSpan()
 	}
 }

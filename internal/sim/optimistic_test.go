@@ -17,35 +17,31 @@ func toyMix(x uint64) uint64 {
 // toyNet is a minimal cross-shard "machine" at the raw sim layer: N
 // virtual nodes partitioned across the engine's shards (same contiguous
 // blocks as cm5), exchanging flights whose latency is at least la. It
-// implements WindowHook (conservative outbox-and-barrier), ArrivalHook
-// (optimistic eager injection), and SpanHook (synthetic span-cut edges),
-// so the same workload runs sequentially, conservatively, and
-// optimistically — and must produce bit-identical per-node hash chains.
+// implements WindowHook (eager injection, synthetic span-cut edges), so
+// the same workload runs sequentially and sharded — and must produce
+// bit-identical per-node hash chains.
 type toyNet struct {
-	e          *Engine
-	la         Duration
-	nodes      int
-	optimistic bool
-	hopLimit   int
+	e        *Engine
+	la       Duration
+	nodes    int
+	hopLimit int
 	// jitterMod > 0 adds a deterministic per-hop extra latency in
 	// [0, jitterMod); 0 keeps every flight at exactly la, so arrivals
-	// land exactly on lookahead (and checkpoint) boundaries.
+	// land exactly on lookahead (and span) boundaries.
 	jitterMod Duration
 	// globalEvery > 0 schedules an eager mid-span global every that many
-	// hops (the collective-release analogue). Sequential/optimistic only:
-	// conservative mode forbids AtGlobal from inside a window.
+	// hops (the collective-release analogue).
 	globalEvery int
 
-	// bounds are synthetic SpanHook edges (fault-plan boundary stand-ins).
+	// bounds are synthetic NextBound edges (fault-plan boundary stand-ins).
 	bounds []Time
 
-	// Per-shard conservative outboxes; per-node state below is only ever
-	// touched by the node's owning shard (or the quiescent coordinator).
-	outbox [][]*toyFlight
-	hash   []uint64
-	hops   []uint64
-	seq    []uint64
-	dead   []bool
+	// Per-node state, only ever touched by the node's owning shard (or
+	// the quiescent coordinator).
+	hash []uint64
+	hops []uint64
+	seq  []uint64
+	dead []bool
 }
 
 // toyFlight is one flight (or, with do set, an arbitrary remote action).
@@ -70,13 +66,11 @@ func (fl *toyFlight) Run() {
 func newToyNet(e *Engine, nodes int, la Duration, hopLimit int) *toyNet {
 	tn := &toyNet{
 		e: e, la: la, nodes: nodes, hopLimit: hopLimit,
-		optimistic: e.Mode() == Optimistic,
-		jitterMod:  3 * la,
-		outbox:     make([][]*toyFlight, e.Shards()),
-		hash:       make([]uint64, nodes),
-		hops:       make([]uint64, nodes),
-		seq:        make([]uint64, nodes),
-		dead:       make([]bool, nodes),
+		jitterMod: 3 * la,
+		hash:      make([]uint64, nodes),
+		hops:      make([]uint64, nodes),
+		seq:       make([]uint64, nodes),
+		dead:      make([]bool, nodes),
 	}
 	if e.Shards() > 1 {
 		e.SetWindowHook(tn)
@@ -91,23 +85,16 @@ func (tn *toyNet) shardOf(node int) *Shard {
 // Lookahead implements WindowHook.
 func (tn *toyNet) Lookahead(now Time) Duration { return tn.la }
 
-// Barrier implements WindowHook: flush the conservative outboxes. In
-// optimistic mode they are always empty (flights crossed eagerly).
-func (tn *toyNet) Barrier() {
-	for si := range tn.outbox {
-		for _, fl := range tn.outbox[si] {
-			tn.shardOf(fl.node).AtDelivery(fl.at, fl.key, fl)
-		}
-		tn.outbox[si] = tn.outbox[si][:0]
-	}
-}
+// Barrier implements WindowHook: flights crossed eagerly, so there is
+// nothing to merge.
+func (tn *toyNet) Barrier() {}
 
-// Arrive implements ArrivalHook.
+// Arrive implements WindowHook.
 func (tn *toyNet) Arrive(sh *Shard, at Time, key uint64, payload any) {
 	sh.AtDelivery(at, key, payload.(*toyFlight))
 }
 
-// NextBound implements SpanHook.
+// NextBound implements WindowHook.
 func (tn *toyNet) NextBound(now Time) Time {
 	b := now
 	for _, e := range tn.bounds {
@@ -119,18 +106,14 @@ func (tn *toyNet) NextBound(now Time) Time {
 }
 
 // send routes a flight from node from: inline when same-shard, eagerly
-// injected when optimistic, via the outbox otherwise.
+// injected otherwise.
 func (tn *toyNet) send(from int, fl *toyFlight) {
 	src, dst := tn.shardOf(from), tn.shardOf(fl.node)
 	if dst == src {
 		src.AtDelivery(fl.at, fl.key, fl)
 		return
 	}
-	if tn.optimistic {
-		dst.Inject(fl.at, fl.key, fl)
-		return
-	}
-	tn.outbox[src.Index()] = append(tn.outbox[src.Index()], fl)
+	dst.Inject(fl.at, fl.key, fl)
 }
 
 // nextKey returns the canonical delivery key for node n's next flight.
@@ -193,21 +176,21 @@ type toyResult struct {
 	spec   uint64
 }
 
-func runToy(t *testing.T, cfg ShardConfig, mut func(*toyNet)) toyResult {
+func runToy(t *testing.T, shards int, mut func(*toyNet)) toyResult {
 	t.Helper()
-	e := NewShardedConfig(99, cfg)
+	e := NewSharded(99, shards)
 	tn := newToyNet(e, 8, Micros(2), 120)
 	if mut != nil {
 		mut(tn)
 	}
 	tn.start(12)
 	if err := e.Run(); err != nil {
-		t.Fatalf("run (%+v): %v", cfg, err)
+		t.Fatalf("run (shards=%d): %v", shards, err)
 	}
 	e.Shutdown()
 	st := e.OptStats()
-	t.Logf("cfg=%+v events=%d spans=%d spec=%d reopens=%d stalls=%d jumps=%d",
-		cfg, e.Events(), st.Spans, st.SpecEvents, st.Reopens, st.Stalls, st.Jumps)
+	t.Logf("shards=%d span=%d events=%d spans=%d spec=%d reopens=%d stalls=%d jumps=%d",
+		shards, e.spanLookaheads, e.Events(), st.Spans, st.SpecEvents, st.Reopens, st.Stalls, st.Jumps)
 	return toyResult{hash: tn.hash, hops: tn.hops, events: e.Events(), spans: st.Spans, spec: st.SpecEvents}
 }
 
@@ -224,59 +207,51 @@ func checkToyEqual(t *testing.T, label string, want, got toyResult) {
 	}
 }
 
-// TestOptimisticEquivalence runs the toy ping-pong sequentially,
-// conservatively, and optimistically (several checkpoint widths and drift
-// bounds) and requires bit-identical per-node hash chains, hop counts,
-// and event totals everywhere.
+// spanWidth narrows (or widens) the engine's commit span to k lookaheads.
+func spanWidth(k int, more func(*toyNet)) func(*toyNet) {
+	return func(tn *toyNet) {
+		tn.e.spanLookaheads = k
+		if more != nil {
+			more(tn)
+		}
+	}
+}
+
+// TestOptimisticEquivalence runs the toy ping-pong sequentially and
+// sharded (several span widths) and requires bit-identical per-node hash
+// chains, hop counts, and event totals everywhere.
 func TestOptimisticEquivalence(t *testing.T) {
-	seq := runToy(t, ShardConfig{Shards: 1}, nil)
-	la := Micros(2)
+	seq := runToy(t, 1, nil)
 	for _, shards := range []int{2, 4} {
-		cons := runToy(t, ShardConfig{Shards: shards}, nil)
-		checkToyEqual(t, fmt.Sprintf("conservative/%d", shards), seq, cons)
-		for _, cfg := range []ShardConfig{
-			{Shards: shards, Mode: Optimistic},
-			{Shards: shards, Mode: Optimistic, CheckpointEvery: 8 * la},
-			{Shards: shards, Mode: Optimistic, CheckpointEvery: 64 * la, MaxDrift: 4 * la},
-		} {
-			opt := runToy(t, cfg, nil)
-			checkToyEqual(t, fmt.Sprintf("optimistic/%d/%+v", shards, cfg), seq, opt)
+		for _, span := range []int{defaultSpanLookaheads, 8, 64} {
+			opt := runToy(t, shards, spanWidth(span, nil))
+			label := fmt.Sprintf("shards=%d span=%d", shards, span)
+			checkToyEqual(t, label, seq, opt)
 			if opt.spans == 0 || opt.spec == 0 {
-				t.Errorf("optimistic/%d/%+v: spans=%d specEvents=%d, expected speculation",
-					shards, cfg, opt.spans, opt.spec)
+				t.Errorf("%s: spans=%d specEvents=%d, expected speculation",
+					label, opt.spans, opt.spec)
 			}
 		}
 	}
 }
 
-// TestOptimisticSingleShardIsSequential pins that Mode is ignored at one
-// shard: the engine reports Conservative and runs the plain kernel.
-func TestOptimisticSingleShardIsSequential(t *testing.T) {
-	e := NewShardedConfig(1, ShardConfig{Shards: 1, Mode: Optimistic})
-	if e.Mode() != Conservative {
-		t.Fatalf("single-shard engine mode = %v, want Conservative", e.Mode())
-	}
-	e.Shutdown()
-}
-
-// TestOptimisticBoundaryStraggler removes all jitter and sets the
-// checkpoint width to exactly one lookahead, so every flight lands
-// exactly on a span-commit timestamp — the straggler-at-the-checkpoint
-// edge case. Wider exact multiples put arrivals both inside spans and on
-// their edges.
+// TestOptimisticBoundaryStraggler removes all jitter and sets the span
+// width to exactly one lookahead, so every flight lands exactly on a
+// span-commit timestamp — the straggler-at-the-checkpoint edge case.
+// Wider exact multiples put arrivals both inside spans and on their
+// edges.
 func TestOptimisticBoundaryStraggler(t *testing.T) {
 	noJitter := func(tn *toyNet) { tn.jitterMod = 0 }
-	seq := runToy(t, ShardConfig{Shards: 1}, noJitter)
-	la := Micros(2)
-	for _, ckpt := range []Duration{la, 2 * la, 32 * la} {
+	seq := runToy(t, 1, noJitter)
+	for _, span := range []int{1, 2, defaultSpanLookaheads} {
 		for _, shards := range []int{2, 4} {
-			got := runToy(t, ShardConfig{Shards: shards, Mode: Optimistic, CheckpointEvery: ckpt}, noJitter)
-			checkToyEqual(t, fmt.Sprintf("ckpt=%d shards=%d", ckpt, shards), seq, got)
+			got := runToy(t, shards, spanWidth(span, noJitter))
+			checkToyEqual(t, fmt.Sprintf("span=%d shards=%d", span, shards), seq, got)
 		}
 	}
 }
 
-// TestOptimisticSpanBounds checks that synthetic SpanHook cut points
+// TestOptimisticSpanBounds checks that synthetic NextBound cut points
 // (the fault-plan slow-window/partition-edge stand-ins) change only the
 // span structure, never the results.
 func TestOptimisticSpanBounds(t *testing.T) {
@@ -285,9 +260,9 @@ func TestOptimisticSpanBounds(t *testing.T) {
 			tn.bounds = append(tn.bounds, ti)
 		}
 	}
-	seq := runToy(t, ShardConfig{Shards: 1}, bounds)
-	free := runToy(t, ShardConfig{Shards: 4, Mode: Optimistic}, nil)
-	cut := runToy(t, ShardConfig{Shards: 4, Mode: Optimistic}, bounds)
+	seq := runToy(t, 1, bounds)
+	free := runToy(t, 4, nil)
+	cut := runToy(t, 4, bounds)
 	checkToyEqual(t, "span-bounds", seq, cut)
 	for n := range free.hash {
 		if free.hash[n] != cut.hash[n] {
@@ -299,9 +274,7 @@ func TestOptimisticSpanBounds(t *testing.T) {
 // TestOptimisticGlobalMidSpeculation drives the two global-event paths
 // under speculation: a crash-style global scheduled at setup that kills a
 // node mid-run, and eager in-span globals (the collective-release
-// analogue) that must cut the running span. Conservative mode forbids
-// in-window AtGlobal, so the eager case compares sequential vs
-// optimistic only.
+// analogue) that must cut the running span.
 func TestOptimisticGlobalMidSpeculation(t *testing.T) {
 	crash := func(tn *toyNet) {
 		tn.e.AtGlobal(40_000, 3, func() {
@@ -309,29 +282,27 @@ func TestOptimisticGlobalMidSpeculation(t *testing.T) {
 			tn.hash[3] = toyMix(tn.hash[3] ^ 0xdead)
 		})
 	}
-	seq := runToy(t, ShardConfig{Shards: 1}, crash)
+	seq := runToy(t, 1, crash)
 	for _, shards := range []int{2, 4} {
-		cons := runToy(t, ShardConfig{Shards: shards}, crash)
-		checkToyEqual(t, fmt.Sprintf("crash/conservative/%d", shards), seq, cons)
-		opt := runToy(t, ShardConfig{Shards: shards, Mode: Optimistic}, crash)
-		checkToyEqual(t, fmt.Sprintf("crash/optimistic/%d", shards), seq, opt)
+		opt := runToy(t, shards, crash)
+		checkToyEqual(t, fmt.Sprintf("crash/%d", shards), seq, opt)
 	}
 
 	eager := func(tn *toyNet) { tn.globalEvery = 7 }
-	seqE := runToy(t, ShardConfig{Shards: 1}, eager)
+	seqE := runToy(t, 1, eager)
 	for _, shards := range []int{2, 4} {
-		opt := runToy(t, ShardConfig{Shards: shards, Mode: Optimistic}, eager)
+		opt := runToy(t, shards, eager)
 		checkToyEqual(t, fmt.Sprintf("eager-global/%d", shards), seqE, opt)
 	}
 }
 
-// TestOptimisticDeterminism repeats an optimistic run and requires not
+// TestOptimisticDeterminism repeats a sharded run and requires not
 // just identical results but identical deterministic counters (spans,
 // speculated events) — the host-schedule-dependent ones (reopens, stalls,
 // jumps) are deliberately excluded.
 func TestOptimisticDeterminism(t *testing.T) {
-	a := runToy(t, ShardConfig{Shards: 4, Mode: Optimistic}, nil)
-	b := runToy(t, ShardConfig{Shards: 4, Mode: Optimistic}, nil)
+	a := runToy(t, 4, nil)
+	b := runToy(t, 4, nil)
 	checkToyEqual(t, "repeat", a, b)
 	if a.spans != b.spans || a.spec != b.spec {
 		t.Errorf("deterministic counters drifted: spans %d/%d specEvents %d/%d",
@@ -349,8 +320,8 @@ func TestOptimisticDeterminism(t *testing.T) {
 // would flip A or B.
 func TestOptimisticTimerCancelRace(t *testing.T) {
 	la := Micros(2)
-	run := func(cfg ShardConfig) []uint64 {
-		e := NewShardedConfig(5, cfg)
+	run := func(shards int) []uint64 {
+		e := NewSharded(5, shards)
 		tn := newToyNet(e, 2, la, 0)
 		sh1 := tn.shardOf(1)
 		stamp := func(tag uint64) {
@@ -381,8 +352,8 @@ func TestOptimisticTimerCancelRace(t *testing.T) {
 		e.Shutdown()
 		return tn.hash
 	}
-	seq := run(ShardConfig{Shards: 1})
-	opt := run(ShardConfig{Shards: 2, Mode: Optimistic})
+	seq := run(1)
+	opt := run(2)
 	for n := range seq {
 		if seq[n] != opt[n] {
 			t.Errorf("node %d: cancel-race hash %#x, want %#x", n, opt[n], seq[n])
@@ -394,7 +365,7 @@ func TestOptimisticTimerCancelRace(t *testing.T) {
 // while the other shard is busy: the span must abort, every shard must
 // unblock, and Run must report the failure instead of deadlocking.
 func TestOptimisticFailurePropagates(t *testing.T) {
-	e := NewShardedConfig(7, ShardConfig{Shards: 2, Mode: Optimistic})
+	e := NewSharded(7, 2)
 	tn := newToyNet(e, 2, Micros(2), 100_000)
 	tn.start(2)
 	e.Shard(1).Spawn("boom", func(p *Proc) {
@@ -407,10 +378,10 @@ func TestOptimisticFailurePropagates(t *testing.T) {
 	e.Shutdown()
 }
 
-// TestOptimisticStop stops an optimistic run from inside the simulation:
+// TestOptimisticStop stops a sharded run from inside the simulation:
 // the current span finishes, the coordinator exits, nothing hangs.
 func TestOptimisticStop(t *testing.T) {
-	e := NewShardedConfig(3, ShardConfig{Shards: 2, Mode: Optimistic})
+	e := NewSharded(3, 2)
 	tn := newToyNet(e, 4, Micros(2), 1_000_000)
 	tn.start(4)
 	e.Shard(0).At(100_000, func() { e.Stop() })

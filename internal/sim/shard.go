@@ -11,13 +11,14 @@ import (
 // Shard is one partition of the simulation kernel: an event heap, a live
 // process table, and the migrating direct-handoff loop that drives them.
 // A sequential engine (New) is exactly one shard; a sharded engine
-// (NewSharded) runs S of them over lockstep virtual-time windows, each
-// shard owning a disjoint subset of the simulated nodes.
+// (NewSharded) runs S of them over optimistic commit spans, each shard
+// owning a disjoint subset of the simulated nodes.
 //
 // All Shard methods must be called from that shard's own simulation
 // context (its processes and kernel callbacks), from engine setup code
-// before Run, or — for the window machinery — from the engine's
-// coordinator between windows. Shards never touch each other's state.
+// before Run, or — for the span machinery — from the engine's
+// coordinator between spans. Shards never touch each other's state
+// (Inject is the one cross-shard entry point).
 type Shard struct {
 	eng *Engine
 	idx int
@@ -31,7 +32,7 @@ type Shard struct {
 	// runKernel (or, per victim, Shutdown) when the loop ends its tenure
 	// on a process goroutine.
 	doneCh   chan struct{}
-	deadline Time // event horizon of the current run or window
+	deadline Time // event horizon of the current sequential run
 	tracer   Tracer
 	probe    Probe
 	procs    []*Proc // live (spawned, not yet finished) processes, unordered
@@ -52,22 +53,22 @@ type Shard struct {
 	// virtual-time profiler checks its totals against this.
 	chargedTotal Duration
 
-	// Window plumbing (sharded engines only). The runner goroutine blocks
-	// on windowCh for the next window's end time, runs the kernel loop up
-	// to it, and reports completion on windowDone.
-	windowCh   chan Time
+	// Span plumbing (sharded engines only). The runner goroutine blocks
+	// on windowCh for the next span, runs the kernel loop through it, and
+	// reports completion on windowDone.
+	windowCh   chan struct{}
 	windowDone chan struct{}
-	// trbuf buffers tracer records during parallel windows; the engine
+	// trbuf buffers tracer records during parallel spans; the engine
 	// flushes it in canonical order at each barrier.
 	trbuf []traceRec
-	// buffered reports that tracer output must be buffered (sharded mode
-	// with a tracer installed).
+	// buffered reports that tracer output must be buffered (sharded
+	// engine with a tracer installed).
 	buffered bool
-	// busyNs accumulates host time spent inside window/span kernel
-	// tenures; part of the WindowOverhead decomposition.
+	// busyNs accumulates host time spent inside span kernel tenures;
+	// part of the WindowOverhead decomposition.
 	busyNs int64
 
-	// Optimistic-mode state (see optimistic.go); opt is nil otherwise
+	// Span state (see optimistic.go); opt is nil on a sequential engine
 	// and none of this is touched.
 	opt  *optState
 	inmu sync.Mutex // guards inbox/inboxSpare appends from sender shards
@@ -106,9 +107,8 @@ func (sh *Shard) Engine() *Engine { return sh.eng }
 // Index returns the shard's index in [0, Engine.Shards()).
 func (sh *Shard) Index() int { return sh.idx }
 
-// Now returns the shard's current virtual time. Within a window a shard's
-// clock may trail other shards by up to the lookahead; at barriers all
-// clocks agree.
+// Now returns the shard's current virtual time. Within a span shard
+// clocks drift apart; at barriers all clocks agree.
 func (sh *Shard) Now() Time { return sh.now }
 
 // alloc takes an event from the free list, refilling it a slab at a time.
@@ -181,9 +181,9 @@ func (sh *Shard) AfterAction(d Duration, a Action) { sh.AtAction(sh.now.Add(d), 
 // the canonical delivery order: at any instant, deliveries fire after
 // global control transitions, before ordinary events, and among
 // themselves in ascending key — (source node, flight number), packed by
-// the machine layer. The coordinator uses the same key to merge
-// cross-shard flights at window barriers, which is what makes sharded
-// runs bit-identical to sequential ones.
+// the machine layer. Cross-shard flights materialize on their destination
+// heap under the same key, which is what makes sharded runs
+// bit-identical to sequential ones.
 func (sh *Shard) AtDelivery(t Time, key uint64, a Action) {
 	sh.schedule(t, classDelivery, key, evAction, nil, a, nil)
 }
@@ -204,7 +204,7 @@ func (sh *Shard) AfterTimer(d Duration, fn func()) Timer {
 	return sh.AtTimer(sh.now.Add(d), fn)
 }
 
-// traceRec is one buffered scheduling transition (sharded mode). The name
+// traceRec is one buffered scheduling transition (sharded engines). The name
 // is captured eagerly because pooled Procs are renamed on reuse.
 type traceRec struct {
 	t    Time
@@ -243,7 +243,7 @@ func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
 type loopOutcome uint8
 
 const (
-	// loopEnded: the run (or window) is over — heap empty, deadline
+	// loopEnded: the run (or span) is over — heap empty, deadline
 	// passed, Stop, failure, or a kernel-callback panic. The kernel role
 	// returns to the goroutine blocked in runKernel.
 	loopEnded loopOutcome = iota
@@ -262,9 +262,9 @@ const (
 func (sh *Shard) loop(self *Proc) loopOutcome {
 	for {
 		if o := sh.opt; o != nil {
-			// Optimistic mode: the gate drains eager arrivals and decides
-			// whether the next event is provably safe to fire, blocking
-			// mid-span when it is not (see optimistic.go).
+			// Sharded: the gate drains eager arrivals and decides whether
+			// the next event is provably safe to fire, blocking mid-span
+			// when it is not (see optimistic.go).
 			if !o.gate(sh) {
 				return loopEnded
 			}
@@ -333,7 +333,7 @@ func (sh *Shard) fireCallback(fn func(), act Action) {
 }
 
 // runKernel starts a kernel tenure on the calling goroutine and blocks
-// until the run (or window) is over, however many goroutines the loop
+// until the run (or span) is over, however many goroutines the loop
 // migrated across in between.
 func (sh *Shard) runKernel() {
 	if sh.loop(nil) == loopHandoff {
@@ -341,12 +341,11 @@ func (sh *Shard) runKernel() {
 	}
 }
 
-// windowRunner is the per-shard worker of a sharded engine: it receives a
-// window's inclusive end time, runs the shard's kernel up to it, and
-// reports back. It exits when the engine closes windowCh (Shutdown).
+// windowRunner is the per-shard worker of a sharded engine: for each
+// span it runs the shard's kernel until the span gate ends its tenure,
+// then reports back. It exits when the engine closes windowCh (Shutdown).
 func (sh *Shard) windowRunner() {
-	for d := range sh.windowCh {
-		sh.deadline = d
+	for range sh.windowCh {
 		t0 := time.Now()
 		sh.runKernel()
 		sh.busyNs += time.Since(t0).Nanoseconds()

@@ -1,6 +1,8 @@
 package stubc
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -328,5 +330,42 @@ func TestGenerateCompat(t *testing.T) {
 	}
 	if strings.Contains(string(code), "CompatSpec") {
 		t.Error("unannotated service generated a CompatSpec")
+	}
+}
+
+// TestCheckedInStubsFresh regenerates every checked-in stub file from its
+// .rpc specification and requires a byte-identical match, so an edit to
+// a spec or to the generator cannot land without regenerating the stubs
+// (go run ./cmd/stubgen -in <spec> -out <stubs.go>).
+func TestCheckedInStubsFresh(t *testing.T) {
+	for _, c := range []struct{ spec, stubs string }{
+		{"../apps/kv/kv.rpc", "../apps/kv/gen/stubs.go"},
+		{"../apps/sor/sor.rpc", "../apps/sor/gen/stubs.go"},
+		{"../apps/triangle/triangle.rpc", "../apps/triangle/gen/stubs.go"},
+		{"../apps/tsp/tsp.rpc", "../apps/tsp/gen/stubs.go"},
+		{"../apps/water/water.rpc", "../apps/water/gen/stubs.go"},
+		{"gentest/alltypes.rpc", "gentest/stubs.go"},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			src, err := os.ReadFile(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(c.stubs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := Parse(string(src))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			got, err := Generate(f)
+			if err != nil {
+				t.Fatalf("generate: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s does not match stubgen's output for %s; regenerate it", c.stubs, c.spec)
+			}
+		})
 	}
 }
