@@ -76,13 +76,10 @@ import (
 // runCtx is what one experiment's runner gets: the scale and output
 // plumbing of this invocation.
 type runCtx struct {
-	scale    exp.Scale
-	benchout string
-	stderr   io.Writer
-	emit     func(*exp.Table, error)
-	svg      func(base, title string, rows []exp.FigRow)
-	fail     func(format string, args ...any)
-	failed   func() bool
+	scale exp.Scale
+	emit  func(*exp.Table, error)
+	svg   func(base, title string, rows []exp.FigRow)
+	fail  func(format string, args ...any)
 }
 
 // command is one row of the subcommand table. The table is the single
@@ -157,25 +154,6 @@ var commands = []command{
 		func(rc *runCtx) { rc.emit(exp.KVTable(rc.scale)) }},
 	{"kvmulti", "multiactive kv dispatch: goodput and p999 vs simulated cores", true, false,
 		func(rc *runCtx) { rc.emit(exp.KVMultiactiveTable(rc.scale.Quick)) }},
-	{"bench", "host-performance report (writes -benchout JSON)", false, false,
-		func(rc *runCtx) {
-			res, err := exp.Bench(rc.scale)
-			if err != nil {
-				rc.emit(nil, err)
-				return
-			}
-			rc.emit(res.Table(), nil)
-			if res.Warning != "" {
-				fmt.Fprintf(rc.stderr, "oamlab: warning: %s\n", res.Warning)
-			}
-			if !rc.failed() && rc.benchout != "" {
-				if err := res.WriteJSON(rc.benchout); err != nil {
-					rc.fail("bench: %v", err)
-					return
-				}
-				fmt.Fprintf(rc.stderr, "[bench report written to %s]\n", rc.benchout)
-			}
-		}},
 	{"micro", "group: every microbenchmark table", false, false, nil},
 	{"all", "group: every experiment", false, false, nil},
 	{"trace", "record one observed app run as a Chrome trace", false, false, nil},
@@ -229,7 +207,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 0, "concurrent experiment cells (0 = all CPUs, 1 = sequential)")
 	shards := fs.Int("shards", 1, "engine shards per run (1 = sequential kernel, -1 = one per CPU)")
 	cores := fs.Int("cores", 1, "simulated cores per node (>1 enables multiactive dispatch where a compatibility matrix is declared)")
-	benchout := fs.String("benchout", "BENCH_kernel.json", "bench: where to write the JSON report")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fs.Usage = func() {
@@ -293,12 +270,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	code := 0
-	rc := &runCtx{
-		scale:    exp.Scale{Quick: *quick, MaxP: *maxp},
-		benchout: *benchout,
-		stderr:   stderr,
-		failed:   func() bool { return code != 0 },
-	}
+	rc := &runCtx{scale: exp.Scale{Quick: *quick, MaxP: *maxp}}
 	rc.fail = func(format string, args ...any) {
 		if code == 0 {
 			fmt.Fprintf(stderr, "oamlab: "+format+"\n", args...)

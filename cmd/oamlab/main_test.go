@@ -171,7 +171,7 @@ func TestUsageListsSubcommands(t *testing.T) {
 }
 
 // TestSmokeTrace: the trace subcommand writes a valid Chrome trace-event
-// JSON file with events for every node.
+// JSON file with one track per node and events from every layer.
 func TestSmokeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out, errb bytes.Buffer
@@ -191,6 +191,24 @@ func TestSmokeTrace(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace has no events")
+	}
+	pids := map[float64]bool{}
+	cats := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if pid, ok := e["pid"].(float64); ok {
+			pids[pid] = true
+		}
+		if cat, ok := e["cat"].(string); ok {
+			cats[cat] = true
+		}
+	}
+	if len(pids) != 4 || !pids[0] || !pids[1] || !pids[2] || !pids[3] {
+		t.Errorf("want one track per node, pids {0,1,2,3}; got %v", pids)
+	}
+	for _, want := range []string{"cpu", "handler", "oam", "rpc", "flight", "thread"} {
+		if !cats[want] {
+			t.Errorf("no %q events in the trace", want)
+		}
 	}
 	if !strings.Contains(errb.String(), "perfetto") {
 		t.Errorf("missing Perfetto pointer:\n%s", errb.String())

@@ -79,8 +79,9 @@ func TestKVShardInvariance(t *testing.T) {
 	}
 }
 
-// TestKVSaturationQuick checks the bench pass finds the knee and the
-// goodput gap on the quick sweep — the numbers CI asserts against.
+// TestKVSaturationQuick checks the saturation sweep finds the knee and
+// the goodput gap on the quick sweep. Every number is virtual time, so a
+// missing knee fails on any host rather than being skipped.
 func TestKVSaturationQuick(t *testing.T) {
 	sat, err := KVSaturationBench(true)
 	if err != nil {
@@ -97,7 +98,7 @@ func TestKVSaturationQuick(t *testing.T) {
 	}
 }
 
-// TestKVMultiactiveQuick checks the multiactive bench pass on the quick
+// TestKVMultiactiveQuick checks the multiactive sweep on the quick
 // cell: everything it reports is virtual time, so the assertions are
 // deterministic on any host.
 func TestKVMultiactiveQuick(t *testing.T) {

@@ -9,12 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The kernel_scale pass answers the 100k-node question directly: does the
+// The scale sweep answers the 100k-node question directly: does the
 // kernel's per-event cost stay flat as the machine grows, and does a node
 // cost O(1) memory whether the machine has 128 of them or 65536? Both are
 // load-bearing claims of the scale work (calendar-queue scheduling and
-// lazy node materialization); both are asserted in CI against the budgets
-// below.
+// lazy node materialization); TestKernelScaleBudget asserts both against
+// the budgets below.
 const (
 	// ScaleNsPerEventRatioMax caps NsPerEvent(N=65536) / NsPerEvent(N=128)
 	// on the constant-event-budget storm. The algorithmic cost is flat —
@@ -56,67 +56,47 @@ const (
 	// the cap is a few pointer widths, not a Node struct.
 	ScaleIdleBytesPerNodeCap = 64
 	// scaleWallFloor marks a point too fast to time reliably: below this
-	// the sweep reports ScaleValid=false and CI must skip the ratio
-	// assertion rather than fail on timer noise.
+	// the sweep reports ScaleValid=false and the ratio assertion is
+	// skipped rather than failed on timer noise.
 	scaleWallFloor = 10 * time.Millisecond
 )
 
-// ScaleNodeCounts is the node sweep of the kernel_scale pass.
+// ScaleNodeCounts is the node sweep of KernelScale.
 var ScaleNodeCounts = []int{128, 4096, 65536}
-
-// ScaleQueueStats is the calendar-queue health report of one pass, in
-// JSON form (see sim.QueueStats for semantics).
-type ScaleQueueStats struct {
-	Pushes        uint64  `json:"pushes"`
-	Pops          uint64  `json:"pops"`
-	ScansPerPop   float64 `json:"scans_per_pop"`
-	Fallbacks     uint64  `json:"fallbacks"`
-	Resizes       uint64  `json:"resizes"`
-	Buckets       int     `json:"buckets"`
-	BucketWidthNs int64   `json:"bucket_width_ns"`
-	MaxEvents     int     `json:"max_events"`
-}
 
 // ScalePoint is one node count of the sweep.
 type ScalePoint struct {
-	Nodes  int    `json:"nodes"`
-	Events uint64 `json:"events"`
-	WallNs int64  `json:"wall_ns"`
+	Nodes  int
+	WallNs int64
 	// NsPerEvent is host wall time per simulated event; the sweep holds
 	// the total event budget constant, so these are directly comparable
 	// across node counts.
-	NsPerEvent     float64 `json:"ns_per_event"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// HeapBytes is the GC-settled retained heap growth of the pass
-	// (machine, queues, per-node storm state), and BytesPerNode divides
-	// it by the node count — every node is touched by the storm.
-	HeapBytes    uint64          `json:"heap_bytes"`
-	BytesPerNode float64         `json:"bytes_per_node"`
-	PeakRSSBytes int64           `json:"peak_rss_bytes"`
-	Queue        ScaleQueueStats `json:"queue"`
+	NsPerEvent     float64
+	AllocsPerEvent float64
+	// BytesPerNode is the GC-settled retained heap growth of the pass
+	// (machine, queues, per-node storm state) divided by the node count —
+	// every node is touched by the storm.
+	BytesPerNode float64
+	// ScansPerPop is the calendar queue's forward scan steps per pop
+	// (see sim.QueueStats).
+	ScansPerPop float64
 }
 
-// ScaleBench is the kernel_scale section of BENCH_kernel.json.
+// ScaleBench is the outcome of the scale sweep.
 type ScaleBench struct {
-	// EventBudget is the total timer-storm event budget shared by every
-	// point of the sweep (constant work, varying node count).
-	EventBudget int          `json:"event_budget"`
-	Points      []ScalePoint `json:"points"`
+	Points []ScalePoint
 	// NsPerEventRatio is NsPerEvent at the largest node count over the
-	// smallest — the flatness number CI asserts ≤ ScaleNsPerEventRatioMax.
-	NsPerEventRatio float64 `json:"ns_per_event_ratio"`
+	// smallest — the flatness number held to ScaleNsPerEventRatioMax.
+	NsPerEventRatio float64
 	// IdleBytesPerNode is the retained heap per node of a machine at the
 	// largest node count that no one ever touched: the price of existing.
-	IdleBytesPerNode float64 `json:"idle_bytes_per_node"`
-	// The budgets, echoed so the artifact is self-describing.
-	NsPerEventRatioMax  float64 `json:"ns_per_event_ratio_max"`
-	BytesPerNodeCap     float64 `json:"bytes_per_node_cap"`
-	IdleBytesPerNodeCap float64 `json:"idle_bytes_per_node_cap"`
+	IdleBytesPerNode float64
 	// ScaleValid is false when any point ran under the wall-clock floor,
-	// where the ratio measures timer noise rather than kernel cost.
-	// CI must skip (not fail) the flatness assertion then.
-	ScaleValid bool   `json:"scale_valid"`
-	Warning    string `json:"warning,omitempty"`
+	// where the ratio measures timer noise rather than kernel cost; the
+	// flatness assertion is skipped (not failed) then, and Warning says
+	// which point.
+	ScaleValid bool
+	Warning    string
 }
 
 // KernelScale runs the scale sweep: a timer-heavy many-client storm over
@@ -132,19 +112,13 @@ func KernelScale(quick bool) ScaleBench {
 		// cap on a busy host.
 		budget = 1 << 19
 	}
-	sb := ScaleBench{
-		EventBudget:         budget,
-		NsPerEventRatioMax:  ScaleNsPerEventRatioMax,
-		BytesPerNodeCap:     ScaleBytesPerNodeCap,
-		IdleBytesPerNodeCap: ScaleIdleBytesPerNodeCap,
-		ScaleValid:          true,
-	}
+	sb := ScaleBench{ScaleValid: true}
 	for _, n := range ScaleNodeCounts {
 		// Best of three: ns/event on a shared host is right-skewed by
 		// scheduling and frequency noise, and the minimum is the run
 		// closest to the kernel's actual cost. Memory numbers are
 		// noise-free, so any run's will do; take the fastest run's whole
-		// point so the artifact is one self-consistent measurement.
+		// point so each point is one self-consistent measurement.
 		p := scaleStorm(n, budget)
 		for r := 1; r < 3; r++ {
 			if q := scaleStorm(n, budget); q.NsPerEvent < p.NsPerEvent {
@@ -306,28 +280,13 @@ func scaleStorm(nodes, budget int) ScalePoint {
 	qs := eng.QueueStats()
 	runtime.KeepAlive(m)
 
-	p := ScalePoint{
-		Nodes:        nodes,
-		Events:       events,
-		WallNs:       wall.Nanoseconds(),
-		PeakRSSBytes: peakRSSBytes(),
-		Queue: ScaleQueueStats{
-			Pushes:        qs.Pushes,
-			Pops:          qs.Pops,
-			Fallbacks:     qs.Fallbacks,
-			Resizes:       qs.Resizes,
-			Buckets:       qs.Buckets,
-			BucketWidthNs: int64(qs.BucketWidth),
-			MaxEvents:     qs.MaxEvents,
-		},
-	}
+	p := ScalePoint{Nodes: nodes, WallNs: wall.Nanoseconds()}
 	if qs.Pops > 0 {
-		p.Queue.ScansPerPop = float64(qs.ScanSteps) / float64(qs.Pops)
+		p.ScansPerPop = float64(qs.ScanSteps) / float64(qs.Pops)
 	}
 	if m1.HeapAlloc > m0.HeapAlloc {
-		p.HeapBytes = m1.HeapAlloc - m0.HeapAlloc
+		p.BytesPerNode = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(nodes)
 	}
-	p.BytesPerNode = float64(p.HeapBytes) / float64(nodes)
 	if events > 0 {
 		p.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
 		p.AllocsPerEvent = float64(m1.Mallocs-mw.Mallocs) / float64(events)

@@ -2,8 +2,8 @@ package exp
 
 import "testing"
 
-// TestKernelScaleBudget runs the quick scale sweep and asserts the same
-// budgets CI asserts on the full sweep: per-event wall cost within the
+// TestKernelScaleBudget runs the quick scale sweep and asserts its
+// budgets: per-event wall cost within the
 // documented memory-hierarchy cap from N=128 to N=65536, algorithmic
 // flatness (scans/pop, allocs/event) at every point, and per-node memory
 // under the caps both touched and idle.
@@ -16,9 +16,9 @@ func TestKernelScaleBudget(t *testing.T) {
 		t.Fatalf("points = %d, want %d", len(sb.Points), len(ScaleNodeCounts))
 	}
 	for _, p := range sb.Points {
-		if p.Queue.ScansPerPop > ScaleScansPerPopMax {
+		if p.ScansPerPop > ScaleScansPerPopMax {
 			t.Errorf("N=%d: %.2f scans/pop > %.1f — bucket width unmatched to event spacing",
-				p.Nodes, p.Queue.ScansPerPop, float64(ScaleScansPerPopMax))
+				p.Nodes, p.ScansPerPop, float64(ScaleScansPerPopMax))
 		}
 		if p.AllocsPerEvent > ScaleAllocsPerEventMax {
 			t.Errorf("N=%d: %.3f allocs/event > %.2f — steady-state tick is no longer allocation-free",

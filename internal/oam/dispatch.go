@@ -138,12 +138,11 @@ func (s *Stats) Add(o *Stats) {
 // own node's polling context — so dispatches on different engine shards
 // never contend; Stats sums them.
 type Dispatcher struct {
-	opts   Options
-	stats  []Stats
-	multi  []multiNode
-	ctls   []nodeCtl
-	probe  Probe
-	mprobe MultiProbe
+	opts  Options
+	stats []Stats
+	multi []multiNode
+	ctls  []nodeCtl
+	probe Probe
 }
 
 // Probe observes optimistic dispatches. Probes are pure observers — they
@@ -156,26 +155,16 @@ type Probe interface {
 	// context: completed inline, promoted to a thread (reason says why),
 	// or nacked back to the sender.
 	Settled(t sim.Time, node int, name string, outcome Outcome, reason Reason, strategy Strategy)
-}
-
-// MultiProbe is the optional multiactive extension of Probe: a probe that
-// also implements it receives core-occupancy and compatibility-queue
-// tracks. Kept separate so existing Probe implementations stay valid.
-type MultiProbe interface {
 	// CoreOccupancy fires when the number of busy simulated cores on node
-	// changes.
+	// changes (multiactive dispatch only, like CompatQueueDepth).
 	CoreOccupancy(t sim.Time, node int, busy int)
 	// CompatQueueDepth fires when node's compatibility queue changes
 	// length.
 	CompatQueueDepth(t sim.Time, node int, depth int)
 }
 
-// SetProbe installs a dispatch probe; pass nil to disable. A probe that
-// also implements MultiProbe receives the multiactive tracks.
-func (d *Dispatcher) SetProbe(p Probe) {
-	d.probe = p
-	d.mprobe, _ = p.(MultiProbe)
-}
+// SetProbe installs a dispatch probe; pass nil to disable.
+func (d *Dispatcher) SetProbe(p Probe) { d.probe = p }
 
 // NewDispatcher returns a dispatcher with the given options.
 func NewDispatcher(opts Options) *Dispatcher { return &Dispatcher{opts: opts} }

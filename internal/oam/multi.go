@@ -97,14 +97,14 @@ func (d *Dispatcher) multiAt(node int) *multiNode {
 }
 
 func (d *Dispatcher) noteOccupancy(t sim.Time, node int, busy int) {
-	if d.mprobe != nil {
-		d.mprobe.CoreOccupancy(t, node, busy)
+	if d.probe != nil {
+		d.probe.CoreOccupancy(t, node, busy)
 	}
 }
 
 func (d *Dispatcher) noteQueueDepth(t sim.Time, node int, depth int) {
-	if d.mprobe != nil {
-		d.mprobe.CompatQueueDepth(t, node, depth)
+	if d.probe != nil {
+		d.probe.CompatQueueDepth(t, node, depth)
 	}
 }
 

@@ -89,12 +89,27 @@ func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
 func (d *Dec) need(n int) []byte {
 	if d.off+n > len(d.b) {
-		panic(fmt.Sprintf("rpc: decode past end of record (off %d, need %d, len %d)",
-			d.off, n, len(d.b)))
+		d.pastEnd(uint64(n))
 	}
 	s := d.b[d.off : d.off+n]
 	d.off += n
 	return s
+}
+
+// items reads a buffer's uint32 length prefix and checks that that many
+// items of size bytes fit in the rest of the record, so a corrupt prefix
+// panics like any other short read instead of sizing a huge allocation.
+func (d *Dec) items(size int) int {
+	n := uint64(d.U32())
+	if n*uint64(size) > uint64(d.Remaining()) {
+		d.pastEnd(n * uint64(size))
+	}
+	return int(n)
+}
+
+func (d *Dec) pastEnd(need uint64) {
+	panic(fmt.Sprintf("rpc: decode past end of record (off %d, need %d, len %d)",
+		d.off, need, len(d.b)))
 }
 
 func (d *Dec) U8() uint8   { return d.need(1)[0] }
@@ -113,8 +128,7 @@ func (d *Dec) F64() float64 {
 // Buf reads a length-prefixed byte buffer. The returned slice aliases the
 // record; callers must treat it as immutable.
 func (d *Dec) Buf() []byte {
-	n := int(d.U32())
-	return d.need(n)
+	return d.need(d.items(1))
 }
 
 // String reads a length-prefixed string.
@@ -122,8 +136,7 @@ func (d *Dec) String() string { return string(d.Buf()) }
 
 // F64s reads a length-prefixed []float64 buffer.
 func (d *Dec) F64s() []float64 {
-	n := int(d.U32())
-	out := make([]float64, n)
+	out := make([]float64, d.items(8))
 	for i := range out {
 		out[i] = d.F64()
 	}
@@ -132,8 +145,7 @@ func (d *Dec) F64s() []float64 {
 
 // I32s reads a length-prefixed []int32 buffer.
 func (d *Dec) I32s() []int32 {
-	n := int(d.U32())
-	out := make([]int32, n)
+	out := make([]int32, d.items(4))
 	for i := range out {
 		out[i] = d.I32()
 	}
@@ -142,8 +154,7 @@ func (d *Dec) I32s() []int32 {
 
 // U64s reads a length-prefixed []uint64 buffer.
 func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	out := make([]uint64, n)
+	out := make([]uint64, d.items(8))
 	for i := range out {
 		out[i] = d.U64()
 	}

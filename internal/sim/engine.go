@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // defaultEventHint is the expected pending-event population a shard's
@@ -118,11 +117,6 @@ type Engine struct {
 
 	runnersStarted bool
 	windows        uint64
-	barrierNs      int64
-	// windowWallNs is the host time spent inside parallel spans
-	// (handshake send to last completion); with the shards' own busy
-	// time it decomposes where a sharded run's wall clock went.
-	windowWallNs int64
 }
 
 // globalEvent is one entry in the sharded engine's control queue, ordered
@@ -287,37 +281,6 @@ func (e *Engine) Live() int {
 		n += len(sh.procs)
 	}
 	return n
-}
-
-// WindowStats reports how many commit spans a sharded run executed and
-// the host time spent in barriers (merging cross-shard traffic). Zero for
-// sequential engines.
-func (e *Engine) WindowStats() (windows uint64, barrier time.Duration) {
-	return e.windows, time.Duration(e.barrierNs)
-}
-
-// WindowOverhead decomposes where a sharded run's host time went, for
-// honest barrier accounting: BarrierNs is coordinator merge + trace-flush
-// time; WindowWallNs is the wall time of the parallel spans themselves
-// (handshake send to last shard done); ShardBusyNs sums every shard's
-// in-span kernel time. WindowWallNs minus ShardBusyNs/Shards
-// approximates the pure coordination loss — channel handshakes, straggler
-// imbalance, and scheduler latency — that BarrierFrac alone hides.
-type WindowOverhead struct {
-	Windows      uint64
-	BarrierNs    int64
-	WindowWallNs int64
-	ShardBusyNs  int64
-}
-
-// WindowOverhead reports the sharded run's host-time decomposition; zero
-// for sequential engines. Call it after Run returns.
-func (e *Engine) WindowOverhead() WindowOverhead {
-	ov := WindowOverhead{Windows: e.windows, BarrierNs: e.barrierNs, WindowWallNs: e.windowWallNs}
-	for _, sh := range e.shards {
-		ov.ShardBusyNs += sh.busyNs
-	}
-	return ov
 }
 
 // At schedules fn on shard 0 at absolute time t; see Shard.At. On a
@@ -521,16 +484,14 @@ func (e *Engine) RunUntil(deadline Time) error {
 }
 
 // dispatchSpan hands the span set up by beginSpan to every shard runner
-// and waits for all of them, accounting the wall time.
+// and waits for all of them.
 func (e *Engine) dispatchSpan() {
-	start := time.Now()
 	for _, sh := range e.shards {
 		sh.windowCh <- struct{}{}
 	}
 	for _, sh := range e.shards {
 		<-sh.windowDone
 	}
-	e.windowWallNs += time.Since(start).Nanoseconds()
 }
 
 // startRunners launches the per-shard span-runner goroutines (once).
@@ -579,12 +540,10 @@ func (e *Engine) nextTime() (Time, bool) {
 // the only point where cross-shard state moves; everything here runs on
 // the coordinator goroutine with all shards quiescent.
 func (e *Engine) barrier() {
-	start := time.Now()
 	if e.hook != nil {
 		e.hook.Barrier()
 	}
 	e.flushTrace()
-	e.barrierNs += time.Since(start).Nanoseconds()
 }
 
 // runGlobalsAt pops and fires every global event scheduled at exactly t,

@@ -69,7 +69,7 @@ type optState struct {
 
 	// jumps counts idle LBTS jumps (all shards blocked below their
 	// horizons; claims advance to the machine-wide minimum next event
-	// plus lookahead). Host-schedule dependent; bench-only.
+	// plus lookahead). Host-schedule dependent; diagnostic only.
 	jumps uint64
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Shard is one partition of the simulation kernel: an event heap, a live
@@ -64,9 +63,6 @@ type Shard struct {
 	// buffered reports that tracer output must be buffered (sharded
 	// engine with a tracer installed).
 	buffered bool
-	// busyNs accumulates host time spent inside span kernel tenures;
-	// part of the WindowOverhead decomposition.
-	busyNs int64
 
 	// Span state (see optimistic.go); opt is nil on a sequential engine
 	// and none of this is touched.
@@ -346,9 +342,7 @@ func (sh *Shard) runKernel() {
 // then reports back. It exits when the engine closes windowCh (Shutdown).
 func (sh *Shard) windowRunner() {
 	for range sh.windowCh {
-		t0 := time.Now()
 		sh.runKernel()
-		sh.busyNs += time.Since(t0).Nanoseconds()
 		sh.windowDone <- struct{}{}
 	}
 }

@@ -2,6 +2,7 @@ package stubc
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -333,19 +334,23 @@ func TestGenerateCompat(t *testing.T) {
 	}
 }
 
+// checkedInSpecs pairs every checked-in .rpc specification with the stub
+// file generated from it.
+var checkedInSpecs = []struct{ spec, stubs string }{
+	{"../apps/kv/kv.rpc", "../apps/kv/gen/stubs.go"},
+	{"../apps/sor/sor.rpc", "../apps/sor/gen/stubs.go"},
+	{"../apps/triangle/triangle.rpc", "../apps/triangle/gen/stubs.go"},
+	{"../apps/tsp/tsp.rpc", "../apps/tsp/gen/stubs.go"},
+	{"../apps/water/water.rpc", "../apps/water/gen/stubs.go"},
+	{"gentest/alltypes.rpc", "gentest/stubs.go"},
+}
+
 // TestCheckedInStubsFresh regenerates every checked-in stub file from its
 // .rpc specification and requires a byte-identical match, so an edit to
 // a spec or to the generator cannot land without regenerating the stubs
 // (go run ./cmd/stubgen -in <spec> -out <stubs.go>).
 func TestCheckedInStubsFresh(t *testing.T) {
-	for _, c := range []struct{ spec, stubs string }{
-		{"../apps/kv/kv.rpc", "../apps/kv/gen/stubs.go"},
-		{"../apps/sor/sor.rpc", "../apps/sor/gen/stubs.go"},
-		{"../apps/triangle/triangle.rpc", "../apps/triangle/gen/stubs.go"},
-		{"../apps/tsp/tsp.rpc", "../apps/tsp/gen/stubs.go"},
-		{"../apps/water/water.rpc", "../apps/water/gen/stubs.go"},
-		{"gentest/alltypes.rpc", "gentest/stubs.go"},
-	} {
+	for _, c := range checkedInSpecs {
 		t.Run(c.spec, func(t *testing.T) {
 			src, err := os.ReadFile(c.spec)
 			if err != nil {
@@ -368,4 +373,34 @@ func TestCheckedInStubsFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParse feeds arbitrary IDL source to the parser, seeded with every
+// checked-in specification. Parse must never panic, every error it
+// returns must be a *ParseError whose line lies in [0, lines of src]
+// (0 marks whole-file errors), and Generate must not panic on anything
+// Parse accepts.
+func FuzzParse(f *testing.F) {
+	for _, c := range checkedInSpecs {
+		src, err := os.ReadFile(c.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Add(goodSrc)
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse(src)
+		if err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v is %T, want *ParseError", err, err)
+			}
+			if lines := strings.Count(src, "\n") + 1; pe.Line < 0 || pe.Line > lines {
+				t.Fatalf("error line %d outside [0, %d]: %v", pe.Line, lines, err)
+			}
+			return
+		}
+		_, _ = Generate(file) // may reject the file, must not panic
+	})
 }
