@@ -50,10 +50,12 @@
 // trace/metrics subcommands always run sequentially (their probes need
 // the single-threaded kernel).
 //
-// -cores gives every simulated node K cores: services that declare a
-// compatibility matrix (kv) dispatch compatible handlers concurrently in
-// virtual time (multiactive OAM). Simulated cores cost no host CPUs.
-// Results are bit-identical across -shards for a fixed -cores value.
+// -cores gives every node of the kv service K cores: kv declares a
+// compatibility matrix, so its compatible handlers run concurrently in
+// virtual time (multiactive OAM). It affects the kv experiments and kv
+// observed runs only; the paper's apps stay single-active. Simulated
+// cores cost no host CPUs. Results are bit-identical across -shards for a
+// fixed -cores value.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments, for finding host-side hot spots in the simulation kernel.
@@ -206,7 +208,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	svgdir := fs.String("svgdir", "", "also render figures as SVG into this directory")
 	par := fs.Int("par", 0, "concurrent experiment cells (0 = all CPUs, 1 = sequential)")
 	shards := fs.Int("shards", 1, "engine shards per run (1 = sequential kernel, -1 = one per CPU)")
-	cores := fs.Int("cores", 1, "simulated cores per node (>1 enables multiactive dispatch where a compatibility matrix is declared)")
+	cores := fs.Int("cores", 1, "simulated cores per node of the kv service (>1 enables multiactive kv dispatch; other apps stay single-active)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fs.Usage = func() {

@@ -89,11 +89,6 @@ type Config struct {
 	// at any value; only wall-clock time changes.
 	Shards   int
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1);
-	// values > 1 route sync dispatches through the multiactive path
-	// (oam.Options.Cores). The control plane declares no compatibility
-	// matrix, so handlers still serialize and results are unchanged.
-	Cores int
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
 	// Rel tunes the reliable transport, which is always attached.
@@ -376,7 +371,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
 	tr := reliable.Attach(u, cfg.Rel)
-	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy}})
 
 	m := &master{
 		cfg:       cfg,

@@ -158,7 +158,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 		if sys == apps.TRPC {
 			mode = rpc.TRPC
 		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: mode})
 		rtForObs = rt
 		store := sorgen.DefineStore(rt, func(e *oam.Env, caller int, side int32, row []float64) {
 			ns := states[e.Node()]

@@ -39,11 +39,6 @@ type Config struct {
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); Triangle declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
 	// Fault, if non-nil, injects the given deterministic fault plan.
 	// Loss or duplication requires Reliable, or the level quiesce
 	// (sent == received reductions) never converges. Triangle has no
@@ -162,7 +157,7 @@ func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 		if sys == apps.TRPC {
 			mode = rpc.TRPC
 		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy}})
 		rtForObs = rt
 		insert := trigen.DefineInsert(rt, func(e *oam.Env, caller int, state, ways uint64) {
 			ns := states[e.Node()]

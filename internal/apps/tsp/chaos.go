@@ -23,9 +23,6 @@ type ChaosConfig struct {
 	// bit-identical at any value; only wall-clock time changes.
 	Shards   int
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1);
-	// values > 1 route sync dispatches through the multiactive path.
-	Cores int
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
 	// Rel tunes the reliable transport, which is always attached.
@@ -111,7 +108,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
 	tr := reliable.Attach(u, cfg.Rel)
-	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy}})
 
 	states := make([]*nodeState, nodes)
 	for i := range states {

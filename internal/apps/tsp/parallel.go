@@ -37,11 +37,6 @@ type Config struct {
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); TSP declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
 	// Fault, if non-nil, injects the given deterministic fault plan into
 	// the data network. Plans that lose packets require Reliable, or calls
 	// hang; plans with crashes additionally require RunChaos, which knows
@@ -180,7 +175,7 @@ func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
 		if sys == apps.TRPC {
 			mode = rpc.TRPC
 		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy}})
 		rtForObs = rt
 		getJob := tspgen.DefineGetJob(rt, func(e *oam.Env, caller int) ([]byte, bool) {
 			e.Lock(qmu)

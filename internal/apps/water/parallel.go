@@ -198,7 +198,7 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 		if sys == apps.TRPC {
 			mode = rpc.TRPC
 		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: mode})
 		rtForObs = rt
 		store := func(e *oam.Env, sl *slot, ns *nodeState, row []float64) {
 			e.Lock(ns.mu)

@@ -45,11 +45,6 @@ type Config struct {
 	// negative auto (one per CPU), clamped to the node count. Results are
 	// bit-identical at any value; only wall-clock time changes.
 	Shards int
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); Water declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
 	// Observe, if non-nil, is called once the universe (and, for the RPC
 	// variants, the runtime — nil under AM) is built but before the SPMD
 	// program starts, so an observer can attach its probes.

@@ -22,13 +22,13 @@ var Workers = runtime.GOMAXPROCS(0)
 // budget.
 var Shards = 1
 
-// Cores is the simulated per-node core count app runs request
-// (oam.Options.Cores). 1 keeps the paper's single-active dispatch;
-// higher values enable multiactive dispatch for apps that declare a
-// compatibility matrix. Simulated cores cost no host CPUs — they only
-// change how virtual time overlaps — so Cores does not enter
-// EffectiveWorkers. Results are bit-identical at any value of Shards for
-// a fixed Cores.
+// Cores is the simulated per-node core count of the kv service
+// (kv.Config.Cores), the only app that declares a compatibility matrix;
+// the other apps always run the paper's single-active dispatch. 1 keeps
+// kv single-active too; higher values enable multiactive dispatch.
+// Simulated cores cost no host CPUs — they only change how virtual time
+// overlaps — so Cores does not enter EffectiveWorkers. Results are
+// bit-identical at any value of Shards for a fixed Cores.
 var Cores = 1
 
 // EffectiveWorkers is the harness width actually used: Workers, shrunk so

@@ -351,7 +351,8 @@ func (p *kvOccProbe) CoreOccupancy(t sim.Time, node int, busy int) {
 
 // Fraction reduces the track to one number: busy-core time over core
 // capacity, summed across every node that dispatched multiactively.
-// Zero when no node did (the single-active cell bypasses RunMulti).
+// Zero when no node did: the single-active cell runs every execution
+// inline on the poller, which fires no occupancy track.
 func (p *kvOccProbe) Fraction() float64 {
 	var area, capacity sim.Duration
 	for i := range p.nodes {

@@ -17,10 +17,10 @@ import (
 
 // ObserveSpec selects one observed application run.
 type ObserveSpec struct {
-	App   string       // triangle | tsp | sor | water | sched
-	Sys   apps.System  // communication system (default ORPC)
-	Nodes int          // machine size (0 = the app's default)
-	Quick bool         // shrink the problem like the quick figure runs
+	App   string      // triangle | tsp | sor | water | sched | kv
+	Sys   apps.System // communication system (default ORPC)
+	Nodes int         // machine size (0 = the app's default)
+	Quick bool        // shrink the problem like the quick figure runs
 }
 
 // ParseSystem maps a -sys flag value to an apps.System.

@@ -135,7 +135,7 @@ func Sched(scale Scale) ([]SchedRow, error) {
 		label := fmt.Sprintf("sched %s lease=%v hb=%v", mx.name, cl.lease, cl.beat)
 		plan := mx.plan()
 		cfg := sched.Config{
-			Specs: mx.specs, Seed: 5, Shards: Shards, Cores: Cores,
+			Specs: mx.specs, Seed: 5, Shards: Shards,
 			Fault:          plan,
 			LeaseTimeout:   cl.lease,
 			HeartbeatEvery: cl.beat,

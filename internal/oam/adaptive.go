@@ -65,13 +65,7 @@ func (d *Dispatcher) adapt(node int, aborted bool, reason Reason, qdepth int) {
 		if ct.budget == 0 {
 			ct.budget = hb
 		}
-		lo, hi := d.opts.BudgetMin, d.opts.BudgetMax
-		if lo == 0 {
-			lo = hb / 4
-		}
-		if hi == 0 {
-			hi = hb * 8
-		}
+		lo, hi := hb/4, hb*8
 		switch {
 		case ct.tooLong*4 >= ct.window && qdepth <= 2 && ct.budget*2 <= hi:
 			// Mostly budget aborts with a shallow backlog: the budget is

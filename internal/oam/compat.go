@@ -58,7 +58,7 @@ func (t *CompatTable) mode(a, b int) uint8 {
 
 // SetCompat installs the compatibility matrix consulted by multiactive
 // admission. Call it before the simulation starts.
-func (d *Dispatcher) SetCompat(t *CompatTable) { d.opts.Compat = t }
+func (d *Dispatcher) SetCompat(t *CompatTable) { d.compat = t }
 
 // compatibleEntries reports whether two admitted executions may overlap
 // under table t. A nil table or an unclassified execution serializes.

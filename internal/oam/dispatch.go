@@ -47,23 +47,17 @@ type Options struct {
 	// StrictNetAbort makes Env.Send abort with NetworkFull instead of
 	// relying on the CM-5 drain-while-sending behaviour.
 	StrictNetAbort bool
-	// Cores, when > 1, enables multiactive dispatch: handlers compatible
-	// per Compat run concurrently on this many simulated per-node cores
-	// (RunMulti). Zero or one keeps the paper's single-active discipline.
+	// Cores is the number of simulated cores per node. Zero or one keeps
+	// the paper's single-active discipline: the poller is the only core.
+	// More cores enable multiactive dispatch: handlers compatible per the
+	// table installed by SetCompat run concurrently on core workers.
 	Cores int
-	// Compat is the compatibility matrix consulted by multiactive
-	// admission. Nil means no two handlers are ever compatible.
-	Compat *CompatTable
 	// Adaptive replaces the fixed HandlerBudget with a per-node controller
-	// that adjusts the budget within [BudgetMin, BudgetMax] and the
-	// promote-vs-rerun choice from observed abort history and queue depth.
-	// The controller reads only deterministic per-node counters, so
-	// adapted schedules stay replayable.
+	// that adjusts the budget within [HandlerBudget/4, HandlerBudget*8]
+	// and the promote-vs-rerun choice from observed abort history and
+	// queue depth. The controller reads only deterministic per-node
+	// counters, so adapted schedules stay replayable.
 	Adaptive bool
-	// BudgetMin and BudgetMax bound the adaptive budget. Zero values
-	// default to HandlerBudget/4 and HandlerBudget*8.
-	BudgetMin sim.Duration
-	BudgetMax sim.Duration
 }
 
 // Outcome reports what happened to one optimistic dispatch.
@@ -138,25 +132,37 @@ func (s *Stats) Add(o *Stats) {
 // own node's polling context — so dispatches on different engine shards
 // never contend; Stats sums them.
 type Dispatcher struct {
-	opts  Options
-	stats []Stats
-	multi []multiNode
-	ctls  []nodeCtl
-	probe Probe
+	opts   Options
+	compat *CompatTable
+	stats  []Stats
+	multi  []multiNode
+	ctls   []nodeCtl
+	probe  Probe
+}
+
+// Exec is one dispatched execution: the procedure body and the hook that
+// learns what became of it. Dispatch calls Settle exactly once, on the
+// execution's own context. One value carries both, so a dispatch costs
+// its caller a single heap object.
+type Exec interface {
+	Body(e *Env)
+	Settle(c threads.Ctx, o Outcome, r Reason)
 }
 
 // Probe observes optimistic dispatches. Probes are pure observers — they
 // must not schedule events or charge virtual time; hooks are skipped when
 // no probe is installed.
 type Probe interface {
-	// Attempt fires when an optimistic dispatch begins on node.
+	// Attempt fires when an optimistic execution begins on node, with
+	// the strategy that handles its abort.
 	Attempt(t sim.Time, node int, name string, strategy Strategy)
-	// Settled fires when the dispatch outcome is known on the polling
-	// context: completed inline, promoted to a thread (reason says why),
-	// or nacked back to the sender.
+	// Settled fires when the dispatch outcome is known, on the
+	// execution's own context: completed inline, promoted to a thread
+	// (reason says why), or nacked back to the sender. strategy is the
+	// one Attempt reported.
 	Settled(t sim.Time, node int, name string, outcome Outcome, reason Reason, strategy Strategy)
 	// CoreOccupancy fires when the number of busy simulated cores on node
-	// changes (multiactive dispatch only, like CompatQueueDepth).
+	// changes (Cores > 1 only, like CompatQueueDepth).
 	CoreOccupancy(t sim.Time, node int, busy int)
 	// CompatQueueDepth fires when node's compatibility queue changes
 	// length.
@@ -214,74 +220,105 @@ func NewThreadEnv(c threads.Ctx, ep *am.Endpoint, d *Dispatcher) *Env {
 	return &Env{C: c, ep: ep, d: d, optimistic: false, name: "thread"}
 }
 
-// Run executes body as an Optimistic Active Message on the polling
-// context c (a handler context) of endpoint ep. It returns what became of
-// the execution and, for aborts, why.
+// Dispatch executes x as an Optimistic Active Message that arrived on the
+// polling context c of endpoint ep, and settles it through x.Settle.
 //
-// Rerun and Nack attempt the body inline on c; Continuation attempts it
-// on a lent auxiliary process so that a blocked execution can be adopted
-// as a thread without re-execution.
-func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
+// With Options.Cores <= 1 the poller is the node's only core, so the
+// execution runs inline on c and has settled when Dispatch returns. With
+// more cores, class and key (valid when hasKey) position the execution in
+// the compatibility matrix: it runs on a core worker once admission
+// allows (multi.go), possibly after Dispatch returns.
+func (d *Dispatcher) Dispatch(c threads.Ctx, ep *am.Endpoint, name string, class int, key uint64, hasKey bool, x Exec) {
 	node := ep.Node().ID()
-	st := d.nodeStats(node)
-	st.Total++
+	d.nodeStats(node).Total++
+	if d.opts.Cores <= 1 {
+		d.execute(c, ep, node, name, x, nil, nil)
+		return
+	}
+	d.admit(c, ep, node, &runEntry{name: name, class: class, key: key, hasKey: hasKey}, x)
+}
+
+// execute runs one execution on c and settles it. mn and ent are nil when
+// c is the poller of a one-core node; otherwise c is a core worker and ent
+// is the execution's entry in mn's running set.
+//
+// Rerun and Nack attempt the body directly on c; an abort undoes the
+// attempt, then Nack settles NackNeeded for the caller to answer and
+// Rerun re-executes the whole procedure as a new thread. On a core
+// worker, ent stays in the running set as a shadow slot until that thread
+// finishes. Continuation attempts the body on a lent process so that a
+// blocked execution is adopted as a thread in place; the lend protocol
+// presumes the poller's single-CPU discipline, so a core worker runs
+// Continuation as Rerun. Aborts never retry on a core, which could
+// livelock two same-instant executions.
+func (d *Dispatcher) execute(c threads.Ctx, ep *am.Endpoint, node int, name string, x Exec, mn *multiNode, ent *runEntry) {
 	strat := d.opts.Strategy
 	if d.opts.Adaptive && strat == Rerun && d.nodeCtl(node).preferLazy {
 		// History-driven promote choice: under sustained aborts, promote
 		// the suspended execution in place instead of re-running it.
 		strat = Continuation
 	}
+	if strat == Continuation && ent != nil {
+		strat = Rerun
+	}
 	if d.probe != nil {
 		d.probe.Attempt(c.P.Now(), node, name, strat)
 	}
 	if strat == Continuation {
-		o, r := d.runLent(c, ep, name, body)
-		if d.opts.Adaptive {
-			d.adapt(node, o != Completed, r, ep.Node().Pending())
-		}
-		return o, r
+		d.runLent(c, ep, node, name, x)
+		return
 	}
+	st := d.nodeStats(node)
 	env := &Env{C: c, ep: ep, d: d, optimistic: true, name: name}
-	reason, aborted := attempt(env, body)
-	if !aborted {
+	reason, aborted := attempt(env, x)
+	if aborted {
+		env.undo()
+		st.ByReason[reason]++
+	} else {
 		env.commit()
 		st.Succeeded++
-		if d.opts.Adaptive {
-			d.adapt(node, false, 0, ep.Node().Pending())
-		}
-		d.settle(c, ep, name, Completed, 0)
-		return Completed, 0
 	}
-	env.undo()
-	st.ByReason[reason]++
 	if d.opts.Adaptive {
-		d.adapt(node, true, reason, ep.Node().Pending())
+		backlog := ep.Node().Pending()
+		if mn != nil {
+			backlog = len(mn.queue)
+		}
+		d.adapt(node, aborted, reason, backlog)
 	}
-	if strat == Nack {
+	outcome := Completed
+	switch {
+	case !aborted:
+	case strat == Nack:
 		st.Nacked++
-		d.settle(c, ep, name, NackNeeded, reason)
-		return NackNeeded, reason
+		outcome = NackNeeded
+	default:
+		st.Promoted++
+		outcome = Promoted
+		c.S.Create(c, "oam/"+name, true, func(c2 threads.Ctx) {
+			x.Body(&Env{C: c2, ep: ep, d: d, optimistic: false, name: name})
+			if ent != nil {
+				mn.remove(ent)
+				d.pump(c2, ep, node, mn)
+			}
+		})
 	}
-	// Rerun: undo everything and run the whole procedure as a thread.
-	st.Promoted++
-	c.S.Create(c, "oam/"+name, true, func(c2 threads.Ctx) {
-		env2 := &Env{C: c2, ep: ep, d: d, optimistic: false, name: name}
-		body(env2)
-	})
-	d.settle(c, ep, name, Promoted, reason)
-	return Promoted, reason
+	d.settle(c, node, name, strat, x, outcome, reason)
+	if ent != nil && outcome != Promoted {
+		mn.remove(ent)
+	}
 }
 
-// settle reports a resolved dispatch to the probe, if any.
-func (d *Dispatcher) settle(c threads.Ctx, ep *am.Endpoint, name string, o Outcome, r Reason) {
+// settle reports a resolved dispatch to the probe, if any, and then to x.
+func (d *Dispatcher) settle(c threads.Ctx, node int, name string, strat Strategy, x Exec, o Outcome, r Reason) {
 	if d.probe != nil {
-		d.probe.Settled(c.P.Now(), ep.Node().ID(), name, o, r, d.opts.Strategy)
+		d.probe.Settled(c.P.Now(), node, name, o, r, strat)
 	}
+	x.Settle(c, o, r)
 }
 
-// attempt runs body optimistically, converting an abort unwind into a
+// attempt runs x's body optimistically, converting an abort unwind into a
 // (reason, true) result. Other panics propagate.
-func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
+func attempt(env *Env, x Exec) (reason Reason, aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sig, ok := r.(abortSignal)
@@ -291,7 +328,7 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 			reason, aborted = sig.reason, true
 		}
 	}()
-	body(env)
+	x.Body(env)
 	return 0, false
 }
 
@@ -300,7 +337,7 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 // ends and the handler cost was all there was. If it must block, the
 // execution is adopted as a thread in place — lazy thread creation — and
 // the polling context resumes immediately.
-func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
+func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, node int, name string, x Exec) {
 	s := c.S
 	var (
 		outcome Outcome
@@ -308,7 +345,7 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 		settled bool
 	)
 	env := &Env{ep: ep, d: d, optimistic: true, name: name}
-	st := d.nodeStats(ep.Node().ID())
+	st := d.nodeStats(node)
 	env.onPromote = func(r Reason) {
 		// First promotion: report back to the dispatcher. The lender is
 		// still parked; it wakes when the adopted thread detaches.
@@ -318,7 +355,7 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 	}
 	proc := c.P.Shard().Spawn("oam/"+name, func(p *sim.Proc) {
 		env.C = threads.Ctx{P: p, T: nil, S: s}
-		body(env)
+		x.Body(env)
 		if env.C.T == nil {
 			// Ran to completion inside the handler.
 			env.commit()
@@ -336,6 +373,8 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 	if !settled {
 		panic("oam: lent execution returned control without settling")
 	}
-	d.settle(c, ep, name, outcome, reason)
-	return outcome, reason
+	if d.opts.Adaptive {
+		d.adapt(node, outcome != Completed, reason, ep.Node().Pending())
+	}
+	d.settle(c, node, name, Continuation, x, outcome, reason)
 }

@@ -115,10 +115,10 @@ func TestNestedOAMDuringDrain(t *testing.T) {
 	sink := u.Register("sink", func(c threads.Ctx, pkt *cm5.Packet) { handled++ })
 	fwd = u.Register("fwd", func(c threads.Ctx, pkt *cm5.Packet) {
 		me := c.Node().ID()
-		d.Run(c, u.Endpoint(me), "fwd", func(e *Env) {
+		d.Dispatch(c, u.Endpoint(me), "fwd", -1, 0, false, bodyExec(func(e *Env) {
 			e.Compute(sim.Micros(1))
 			e.Send(2, sink, [4]uint64{}, nil)
-		})
+		}))
 	})
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
 		ep := u.Endpoint(node)

@@ -39,7 +39,7 @@ func (r Reason) String() string {
 	}
 }
 
-// abortSignal unwinds an optimistic execution; recovered by Dispatcher.Run.
+// abortSignal unwinds an optimistic execution; recovered by attempt.
 type abortSignal struct{ reason Reason }
 
 // bufferedSend is an outbound message deferred until commit.

@@ -11,7 +11,7 @@ import (
 )
 
 // multiRig builds a 2-node universe whose node 1 routes incoming "call"
-// messages through RunMulti. The packet words carry the compatibility
+// messages through Dispatch, at any core count. The packet words carry the compatibility
 // position: W0 is the method class, W1 the disjointness key, W2 an opaque
 // tag handed to body and settled. All rig state lives on node 1's shard,
 // so tests may read it from node 1's SPMD body without synchronization.
@@ -22,24 +22,33 @@ type multiRig struct {
 	call     am.HandlerID
 	outcomes map[uint64]Outcome
 	reasons  map[uint64]Reason
+	settles  map[uint64]int // settle calls per tag
+	offNode  int            // settles whose context was not node 1
 }
 
-func newMultiRig(t *testing.T, opts Options, body func(e *Env, tag uint64)) *multiRig {
+func newMultiRig(t *testing.T, tab *CompatTable, opts Options, body func(e *Env, tag uint64)) *multiRig {
 	t.Helper()
 	eng := sim.New(31)
 	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
 	r := &multiRig{
 		eng: eng, u: u, d: NewDispatcher(opts),
 		outcomes: map[uint64]Outcome{}, reasons: map[uint64]Reason{},
+		settles: map[uint64]int{},
 	}
+	r.d.SetCompat(tab)
 	r.call = u.Register("call", func(c threads.Ctx, pkt *cm5.Packet) {
 		class, key, tag := int(int64(pkt.W0)), pkt.W1, pkt.W2
-		r.d.RunMulti(c, u.Endpoint(c.Node().ID()), "call", class, key, true,
-			func(e *Env) { body(e, tag) },
-			func(_ threads.Ctx, o Outcome, re Reason) {
+		r.d.Dispatch(c, u.Endpoint(c.Node().ID()), "call", class, key, true, testExec{
+			body: func(e *Env) { body(e, tag) },
+			settle: func(c threads.Ctx, o Outcome, re Reason) {
 				r.outcomes[tag] = o
 				r.reasons[tag] = re
-			})
+				r.settles[tag]++
+				if c.Node().ID() != 1 {
+					r.offNode++
+				}
+			},
+		})
 	})
 	t.Cleanup(eng.Shutdown)
 	return r
@@ -58,7 +67,7 @@ func TestMultiCompatibleHandlersOverlap(t *testing.T) {
 	tab.Allow(0, 0)
 	type span struct{ start, end sim.Time }
 	spans := map[uint64]span{}
-	r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab},
+	r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2},
 		func(e *Env, tag uint64) {
 			start := e.Ctx().P.Now()
 			e.Compute(sim.Micros(50))
@@ -97,7 +106,7 @@ func TestMultiIncompatibleSerializeFIFO(t *testing.T) {
 	var order []uint64
 	type span struct{ start, end sim.Time }
 	spans := map[uint64]span{}
-	r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab},
+	r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2},
 		func(e *Env, tag uint64) {
 			start := e.Ctx().P.Now()
 			e.Compute(sim.Micros(20))
@@ -137,7 +146,7 @@ func TestMultiDisjointKeyAdmission(t *testing.T) {
 	for _, sameKey := range []bool{true, false} {
 		tab := NewCompatTable(1)
 		tab.AllowDisjoint(0, 0)
-		r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab},
+		r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2},
 			func(e *Env, tag uint64) { e.Compute(sim.Micros(20)) })
 		_, err := r.u.SPMD(func(c threads.Ctx, node int) {
 			if node == 0 {
@@ -176,7 +185,7 @@ func TestMultiAbortReleasesCoreShadowSlot(t *testing.T) {
 	tab.Allow(0, 0) // class 1 is incompatible with class 0 and itself
 	var mu *threads.Mutex
 	var order []uint64
-	r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab},
+	r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2},
 		func(e *Env, tag uint64) {
 			if tag == 1 {
 				e.Lock(mu) // held by node 1's SPMD body: aborts, promotes
@@ -237,7 +246,7 @@ func TestMultiAbortDoesNotPerturbPeer(t *testing.T) {
 	tab := NewCompatTable(1)
 	tab.Allow(0, 0)
 	var peerEnd sim.Time
-	r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab, HandlerBudget: sim.Micros(10)},
+	r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2, HandlerBudget: sim.Micros(10)},
 		func(e *Env, tag uint64) {
 			if tag == 1 {
 				e.Compute(sim.Micros(10) + 1) // one ns over budget: aborts
@@ -278,7 +287,7 @@ func TestMultiHandlerBudgetBoundary(t *testing.T) {
 		}
 		tab := NewCompatTable(1)
 		tab.Allow(0, 0)
-		r := newMultiRig(t, Options{Strategy: Rerun, Cores: 2, Compat: tab, HandlerBudget: sim.Micros(10)},
+		r := newMultiRig(t, tab, Options{Strategy: Rerun, Cores: 2, HandlerBudget: sim.Micros(10)},
 			func(e *Env, tag uint64) {
 				e.Compute(sim.Micros(10) + extra)
 			})
@@ -306,7 +315,7 @@ func TestMultiHandlerBudgetBoundary(t *testing.T) {
 func TestMultiNackDrainsQueue(t *testing.T) {
 	tab := NewCompatTable(1) // all-incompatible: second call queues
 	var order []uint64
-	r := newMultiRig(t, Options{Strategy: Nack, Cores: 2, Compat: tab, HandlerBudget: sim.Micros(10)},
+	r := newMultiRig(t, tab, Options{Strategy: Nack, Cores: 2, HandlerBudget: sim.Micros(10)},
 		func(e *Env, tag uint64) {
 			if tag == 1 {
 				e.Compute(sim.Micros(10) + 1) // aborts; Nack settles it

@@ -24,11 +24,28 @@ func newRig(t *testing.T, opts Options, body func(e *Env, pkt *cm5.Packet)) *oam
 	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
 	r := &oamRig{eng: eng, u: u, d: NewDispatcher(opts)}
 	r.call = u.Register("call", func(c threads.Ctx, pkt *cm5.Packet) {
-		r.d.Run(c, u.Endpoint(c.Node().ID()), "call", func(e *Env) { body(e, pkt) })
+		r.d.Dispatch(c, u.Endpoint(c.Node().ID()), "call", -1, 0, false, bodyExec(func(e *Env) { body(e, pkt) }))
 	})
 	t.Cleanup(eng.Shutdown)
 	return r
 }
+
+// testExec adapts a body and an optional settle hook to Exec.
+type testExec struct {
+	body   func(*Env)
+	settle func(threads.Ctx, Outcome, Reason)
+}
+
+func (x testExec) Body(e *Env) { x.body(e) }
+
+func (x testExec) Settle(c threads.Ctx, o Outcome, r Reason) {
+	if x.settle != nil {
+		x.settle(c, o, r)
+	}
+}
+
+// bodyExec is an Exec that ignores its outcome.
+func bodyExec(body func(*Env)) Exec { return testExec{body: body} }
 
 func TestSuccessRunsInHandler(t *testing.T) {
 	for _, strat := range []Strategy{Rerun, Continuation, Nack} {
@@ -345,9 +362,12 @@ func TestNackOutcome(t *testing.T) {
 	d := NewDispatcher(Options{Strategy: Nack})
 	mu = threads.NewMutex(u.Scheduler(1))
 	call := u.Register("call", func(c threads.Ctx, pkt *cm5.Packet) {
-		outcome, reason = d.Run(c, u.Endpoint(1), "call", func(e *Env) {
-			e.Lock(mu)
-			e.Unlock(mu)
+		d.Dispatch(c, u.Endpoint(1), "call", -1, 0, false, testExec{
+			body: func(e *Env) {
+				e.Lock(mu)
+				e.Unlock(mu)
+			},
+			settle: func(_ threads.Ctx, o Outcome, r Reason) { outcome, reason = o, r },
 		})
 	})
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
@@ -425,9 +445,9 @@ func TestStrictNetAbort(t *testing.T) {
 	sunk := 0
 	sink := u.Register("sink", func(c threads.Ctx, pkt *cm5.Packet) { sunk++ })
 	fwd := u.Register("fwd", func(c threads.Ctx, pkt *cm5.Packet) {
-		d.Run(c, u.Endpoint(c.Node().ID()), "fwd", func(e *Env) {
+		d.Dispatch(c, u.Endpoint(c.Node().ID()), "fwd", -1, 0, false, bodyExec(func(e *Env) {
 			e.Send(2, sink, [4]uint64{}, nil)
-		})
+		}))
 	})
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
 		ep := u.Endpoint(node)

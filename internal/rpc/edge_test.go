@@ -69,43 +69,49 @@ func TestUnknownReplyCountedStale(t *testing.T) {
 }
 
 // TestAsyncUnderNackFallsBackToRerun: asynchronous procedures promote
-// rather than nack (there is no caller thread to retry).
+// rather than nack (there is no caller thread to retry), and run inline
+// on the poller even when the runtime has several cores per node.
 func TestAsyncUnderNackFallsBackToRerun(t *testing.T) {
-	rt := newRT(t, 2, Options{Mode: ORPC, OAM: oam.Options{Strategy: oam.Nack}})
-	s1 := rt.Universe().Scheduler(1)
-	mu := threads.NewMutex(s1)
-	hits := 0
-	poke := rt.DefineAsync("poke", func(e *oam.Env, caller int, arg []byte) []byte {
-		e.Lock(mu)
-		hits++
-		e.Unlock(mu)
-		return nil
-	})
-	_, err := rt.Universe().SPMD(func(c threads.Ctx, node int) {
-		ep := rt.Universe().Endpoint(node)
-		if node == 0 {
-			poke.CallAsync(c, 1, nil)
-			return
+	for _, cores := range []int{1, 2} {
+		rt := newRT(t, 2, Options{Mode: ORPC, OAM: oam.Options{Strategy: oam.Nack, Cores: cores}})
+		s1 := rt.Universe().Scheduler(1)
+		mu := threads.NewMutex(s1)
+		hits := 0
+		poke := rt.DefineAsync("poke", func(e *oam.Env, caller int, arg []byte) []byte {
+			e.Lock(mu)
+			hits++
+			e.Unlock(mu)
+			return nil
+		})
+		_, err := rt.Universe().SPMD(func(c threads.Ctx, node int) {
+			ep := rt.Universe().Endpoint(node)
+			if node == 0 {
+				poke.CallAsync(c, 1, nil)
+				return
+			}
+			mu.Lock(c)
+			for poke.Stats().OAMs == 0 {
+				ep.Poll(c)
+			}
+			mu.Unlock(c)
+			for hits == 0 {
+				c.S.Yield(c)
+				ep.Poll(c)
+			}
+		})
+		if err != nil {
+			t.Fatalf("cores=%d: %v", cores, err)
 		}
-		mu.Lock(c)
-		for poke.Stats().OAMs == 0 {
-			ep.Poll(c)
+		if hits != 1 {
+			t.Fatalf("cores=%d: hits = %d", cores, hits)
 		}
-		mu.Unlock(c)
-		for hits == 0 {
-			c.S.Yield(c)
-			ep.Poll(c)
+		st := poke.Stats()
+		if st.Nacks != 0 || st.Promoted != 1 {
+			t.Fatalf("cores=%d: stats %+v (async must promote, not nack)", cores, st)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits != 1 {
-		t.Fatalf("hits = %d", hits)
-	}
-	st := poke.Stats()
-	if st.Nacks != 0 || st.Promoted != 1 {
-		t.Fatalf("stats %+v (async must promote, not nack)", st)
+		if ast := rt.AsyncDispatcher().Stats(); ast.Total != 1 || ast.CompatAdmitted != 0 || ast.CompatQueued != 0 {
+			t.Fatalf("cores=%d: async dispatch went through admission: %v", cores, ast)
+		}
 	}
 }
 

@@ -111,7 +111,10 @@ func New(u *am.Universe, opts Options) *Runtime {
 	}
 	rt := &Runtime{u: u, opts: opts}
 	rt.d = oam.NewDispatcher(opts.OAM)
+	// Asynchronous procedures never nack (see doc.go) and always run
+	// inline on the poller, one core per node.
 	asyncOpts := opts.OAM
+	asyncOpts.Cores = 1
 	if asyncOpts.Strategy == oam.Nack {
 		asyncOpts.Strategy = oam.Rerun
 	}
@@ -328,45 +331,42 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 		d = rt.dAsync
 	}
 	st.OAMs++
-	if !p.async && rt.opts.OAM.Cores > 1 {
-		// Multiactive dispatch: the execution may be queued behind
-		// incompatible peers and settle after serve returns, so outcome
-		// accounting moves into the settle callback (still on this node).
-		var key uint64
-		hasKey := p.keyFn != nil
-		if hasKey {
-			key = p.keyFn(arg)
-		}
-		d.RunMulti(c, ep, p.name, p.class, key, hasKey, func(e *oam.Env) {
-			res := p.impl(e, caller, arg)
-			p.sendReply(e, caller, callID, res)
-		}, func(c2 threads.Ctx, outcome oam.Outcome, _ oam.Reason) {
-			switch outcome {
-			case oam.Completed:
-				st.Successes++
-			case oam.Promoted:
-				st.Promoted++
-			case oam.NackNeeded:
-				st.Nacks++
-				ep.Send(c2, caller, rt.nackH, [4]uint64{callID}, nil)
-			}
-		})
-		return
+	var key uint64
+	hasKey := p.keyFn != nil
+	if hasKey {
+		key = p.keyFn(arg)
 	}
-	outcome, _ := d.Run(c, ep, p.name, func(e *oam.Env) {
-		res := p.impl(e, caller, arg)
-		if !p.async {
-			p.sendReply(e, caller, callID, res)
-		}
-	})
-	switch outcome {
+	d.Dispatch(c, ep, p.name, p.class, key, hasKey, &serveCall{p: p, ep: ep, caller: caller, callID: callID, arg: arg})
+}
+
+// serveCall is one incoming ORPC request as the dispatcher sees it: the
+// procedure body, and the settle hook that does the per-procedure
+// outcome accounting (and sends the nack) on the server node.
+type serveCall struct {
+	p      *Proc
+	ep     *am.Endpoint
+	caller int
+	callID uint64
+	arg    []byte
+}
+
+func (sc *serveCall) Body(e *oam.Env) {
+	res := sc.p.impl(e, sc.caller, sc.arg)
+	if !sc.p.async {
+		sc.p.sendReply(e, sc.caller, sc.callID, res)
+	}
+}
+
+func (sc *serveCall) Settle(c threads.Ctx, o oam.Outcome, _ oam.Reason) {
+	st := &sc.p.stats[sc.ep.Node().ID()]
+	switch o {
 	case oam.Completed:
 		st.Successes++
 	case oam.Promoted:
 		st.Promoted++
 	case oam.NackNeeded:
 		st.Nacks++
-		ep.Send(c, caller, rt.nackH, [4]uint64{callID}, nil)
+		sc.ep.Send(c, sc.caller, sc.p.rt.nackH, [4]uint64{sc.callID}, nil)
 	}
 }
 

@@ -177,9 +177,9 @@ func (s *Scheduler) Blocked() []string {
 
 // BindCore registers p as a simulated per-node core worker: a process
 // that executes multiactive handler bodies concurrently with the node's
-// scheduler (oam.Dispatcher.RunMulti). Core processes hold one of the
-// node's cores rather than the scheduler CPU, so checkOnCPU accepts them
-// for synchronization primitives and thread creation.
+// scheduler (oam.Dispatcher.Dispatch with Cores > 1). Core processes hold
+// one of the node's cores rather than the scheduler CPU, so checkOnCPU
+// accepts them for synchronization primitives and thread creation.
 func (s *Scheduler) BindCore(p *sim.Proc) {
 	if s.cores == nil {
 		s.cores = make(map[*sim.Proc]struct{})
